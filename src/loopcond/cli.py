@@ -24,10 +24,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _graph_json_dict(g: gr.DiGraph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
-
-
 def _cmd_parse(args) -> int:
     c = ident.parse_condition(args.identity)
     g = ident.condition_graph(c)
@@ -40,7 +36,7 @@ def _cmd_parse(args) -> int:
             "symbol": c.symbol,
             "arity": c.arity,
             "variables": list(c.variables),
-            "graph": _graph_json_dict(g),
+            "graph": gr.graph_to_json_dict(g),
         }))
         return 0
     print(ident.print_condition(c))

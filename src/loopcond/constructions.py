@@ -100,41 +100,36 @@ def clique_r_gadget(n: int) -> Gadget:
     return Gadget(n + 3, tuple(edges), (u, v, x, y), 1)
 
 
+def _append_copy(edges: list[tuple[int, int, int]], gadget: Gadget,
+                 attach: tuple[int, ...], next_free: int) -> int:
+    """Append the gadget's typed edges to `edges`, with its distinguished
+    vertices relabelled to `attach` and every other vertex, in ascending
+    order, to a fresh vertex numbered from next_free.  Returns the next
+    free vertex number."""
+    label = dict(zip(gadget.distinguished, attach))
+    for v in range(gadget.vertex_count):
+        if v not in label:
+            label[v] = next_free
+            next_free += 1
+    edges.extend((t, label[a], label[b]) for t, a, b in gadget.typed_edges)
+    return next_free
+
+
 def clique_s_gadget(n: int) -> Gadget:
     """Pattern for S(u1,u2,v1,v2): witnesses x_1..x_{n+1} pairwise related by
     the second input (except the pairs {1,2} and {3,4}) with two copies of
     the R pattern wired to (u1,v1,x1,x2) and (u2,v2,x3,x4)."""
-    if n < 3:
-        raise ValueError("clique constructions need n >= 3")
+    r = clique_r_gadget(n)
     u1, u2, v1, v2 = 0, 1, 2, 3
     xs = list(range(4, 4 + n + 1))
     edges: list[tuple[int, int, int]] = []
-    next_free = 4 + n + 1
-
-    def link(a: int, b: int, slot: int = 0) -> None:
-        edges.append((slot, a, b))
-        edges.append((slot, b, a))
-
-    def inline_r(u: int, v: int, x: int, y: int) -> None:
-        nonlocal next_free
-        mids = list(range(next_free, next_free + n - 2))
-        w = next_free + n - 2
-        next_free = w + 1
-        for a, b in combinations(mids, 2):
-            link(a, b)
-        for a in mids:
-            for b in (x, y, v, w):
-                link(a, b)
-        edges.append((0, u, w))
-        edges.append((0, w, x))
-        edges.append((0, v, y))
-
-    inline_r(u1, v1, xs[0], xs[1])
-    inline_r(u2, v2, xs[2], xs[3])
+    next_free = _append_copy(edges, r, (u1, v1, xs[0], xs[1]), 4 + n + 1)
+    next_free = _append_copy(edges, r, (u2, v2, xs[2], xs[3]), next_free)
     for i, j in combinations(range(n + 1), 2):
         if {i, j} in ({0, 1}, {2, 3}):
             continue
-        link(xs[i], xs[j], slot=1)
+        edges.append((1, xs[i], xs[j]))
+        edges.append((1, xs[j], xs[i]))
     return Gadget(next_free, tuple(edges), (u1, u2, v1, v2), 2)
 
 

@@ -206,93 +206,171 @@ def algebraic_length(g: DiGraph) -> int:
     return d
 
 
-def _search_hom(g: DiGraph, h: DiGraph, injective: bool, budget: int,
-                order: str) -> tuple[int, ...] | None:
-    """Backtracking with forward checking.  Deterministic in "index" order:
-    vertices assigned ascending, candidates ascending, first solution returned.
+def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], list[list]]:
+    """Domains and arcs for the maps 0..n-1 -> V that send every typed edge
+    (t, a, b) to an edge of targets[t]; the targets share the vertex set V.
+
+    Domains are bitmasks over V.  A loop (t, a, a) restricts a's domain to
+    the loops of targets[t].  Every other edge gives an arc each way, and
+    arcs[v] holds (table, cache, neighbours): when v takes value x, each
+    neighbour may only take values in table[x].  Edges on the same ordered
+    pair share one table, and pairs with equal tables share one group, so
+    the union cache serves a whole slot for the length of one search.
     """
-    if injective and g.n > h.n:
-        return None
-    if g.n == 0:
-        return ()
-    h_edges = h.edges
-    h_loops = [v for v in range(h.n) if (v, v) in h_edges]
-    domains: dict[int, list[int]] = {}
-    for v in range(g.n):
-        domains[v] = list(h_loops) if (v, v) in g.edges else list(range(h.n))
-    g_edges = g.edges
+    size = targets[0].n
+    succ = [[0] * size for _ in targets]
+    pred = [[0] * size for _ in targets]
+    for t, h in enumerate(targets):
+        for a, b in h.edges:
+            succ[t][a] |= 1 << b
+            pred[t][b] |= 1 << a
+    domains = [(1 << size) - 1] * n
+    pair_tables: dict[Edge, list[int]] = {}
+    for t, a, b in edges:
+        if a == b:
+            domains[a] &= sum(1 << x for x in range(size) if succ[t][x] >> x & 1)
+            continue
+        for key, rows in (((a, b), succ[t]), ((b, a), pred[t])):
+            table = pair_tables.get(key)
+            pair_tables[key] = list(rows) if table is None else \
+                [x & y for x, y in zip(table, rows)]
+    groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(n)]
+    for (a, b), table in sorted(pair_tables.items()):
+        groups[a].setdefault(tuple(table), []).append(b)
+    caches: dict[tuple[int, ...], dict[int, int]] = {}
+    arcs = [[(table, caches.setdefault(table, {}), nbrs) for table, nbrs in g.items()]
+            for g in groups]
+    return domains, arcs
+
+
+def _arc_search(domains: list[int], arcs: list[list], order: list[int], budget: int,
+                *, distinct: bool = False, project: int = 0):
+    """Yield solutions of a binary constraint network, depth first.
+
+    The search core behind find_hom, find_embedding, ppdef.evaluate and
+    ppdef.witness.  Variables are assigned in `order`, values in ascending order, and
+    each value tried counts one expansion against `budget`.  Arc consistency
+    is maintained after every assignment; with `distinct`, a variable fixed
+    to a value also removes it from every other domain.  Both remove only
+    values that extend to no solution, so the first solution yielded is the
+    least in that order.  The search yields one solution for each
+    assignment of the first `project` variables in `order` that extends to
+    one: after a solution it backtracks to variable project - 1.
+    The search is iterative (an explicit stack and an undo trail), so its
+    depth is not bounded by the Python recursion limit.
+    """
+    n = len(order)
+    dom = list(domains)
+    trail: list[tuple[int, int]] = []
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            v, d = trail.pop()
+            dom[v] = d
+
+    def propagate(queue: list[int]) -> bool:
+        while queue:
+            v = queue.pop()
+            dv = dom[v]
+            for table, cache, nbrs in arcs[v]:
+                s = cache.get(dv)
+                if s is None:
+                    s, m = 0, dv
+                    while m:
+                        low = m & -m
+                        s |= table[low.bit_length() - 1]
+                        m ^= low
+                    cache[dv] = s
+                for u in nbrs:
+                    du = dom[u]
+                    if du & s != du:
+                        if not du & s:
+                            return False
+                        trail.append((u, du))
+                        dom[u] = du & s
+                        queue.append(u)
+            if distinct and not dv & (dv - 1):
+                for u, du in enumerate(dom):
+                    if du & dv and u != v:
+                        if du == dv:
+                            return False
+                        trail.append((u, du))
+                        dom[u] = du ^ dv
+                        queue.append(u)
+        return True
+
+    if not all(dom) or not propagate(list(range(len(dom)))):
+        return
+    if n == 0:
+        yield ()
+        return
+    candidates = [0] * n
+    marks = [0] * n
+    candidates[0] = dom[order[0]]
     expansions = 0
-
-    def prune(rest: dict[int, list[int]], v: int, a: int) -> dict[int, list[int]] | None:
-        new: dict[int, list[int]] = {}
-        for u, dom in rest.items():
-            flt = dom
-            if (v, u) in g_edges:
-                flt = [b for b in flt if (a, b) in h_edges]
-            if (u, v) in g_edges:
-                flt = [b for b in flt if (b, a) in h_edges]
-            if injective:
-                flt = [b for b in flt if b != a]
-            if not flt:
-                return None
-            new[u] = flt
-        return new
-
-    def dfs(dom: dict[int, list[int]], partial: dict[int, int]) -> dict[int, int] | None:
-        nonlocal expansions
-        if not dom:
-            return partial
-        if order == "mrv":
-            v = min(dom, key=lambda u: (len(dom[u]), u))
-        else:
-            v = min(dom)
-        rest = {u: d for u, d in dom.items() if u != v}
-        for a in dom[v]:
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceeded(expansions)
-            pruned = prune(rest, v, a)
-            if pruned is None:
+    depth = 0
+    while depth >= 0:
+        c = candidates[depth]
+        if not c:
+            depth -= 1
+            if depth >= 0:
+                undo(marks[depth])
+            continue
+        low = c & -c
+        candidates[depth] = c ^ low
+        expansions += 1
+        if expansions > budget:
+            raise BudgetExceeded(expansions)
+        v = order[depth]
+        marks[depth] = len(trail)
+        if dom[v] != low:
+            trail.append((v, dom[v]))
+            dom[v] = low
+            if not propagate([v]):
+                undo(marks[depth])
                 continue
-            partial[v] = a
-            result = dfs(pruned, partial)
-            if result is not None:
-                return result
-            del partial[v]
+        depth += 1
+        if depth < n:
+            candidates[depth] = dom[order[depth]]
+            continue
+        yield tuple(d.bit_length() - 1 for d in dom)
+        depth = project - 1
+        if depth >= 0:
+            undo(marks[depth])
+
+
+def _checked_hom(g: DiGraph, h: DiGraph, budget: int,
+                injective: bool) -> Homomorphism | None:
+    domains, arcs = _network(g.n, ((0, a, b) for a, b in g.edges), [h])
+    mapping = next(_arc_search(domains, arcs, list(range(g.n)), budget,
+                               distinct=injective), None)
+    if mapping is None:
         return None
+    hom = Homomorphism(g, h, mapping)
+    if not hom.is_valid() or (injective and not hom.is_injective()):
+        raise AssertionError("search returned a map that is not a witness")
+    return hom
 
-    solution = dfs(domains, {})
-    if solution is None:
-        return None
-    return tuple(solution[v] for v in range(g.n))
 
-
-def find_hom(g: DiGraph, h: DiGraph, *, budget: int = DEFAULT_BUDGET,
-             order: str = "index") -> Homomorphism | None:
+def find_hom(g: DiGraph, h: DiGraph, *,
+             budget: int = DEFAULT_BUDGET) -> Homomorphism | None:
     """Find a graph homomorphism g -> h, or None if none exists.
 
-    order="index" (default) is deterministic and returns the lexicographically
-    least witness; order="mrv" picks most-constrained vertices first and makes
-    no promise about which witness is returned.  Raises BudgetExceeded when
-    the node-expansion budget runs out before an answer is known.
+    Deterministic: the search assigns g's vertices in index order, tries
+    h's vertices in ascending order and maintains arc consistency, so the
+    witness returned is the lexicographically least one.  The witness is
+    re-checked edge by edge before it is returned.  Raises BudgetExceeded
+    when the node-expansion budget runs out before an answer is known.
     """
-    mapping = _search_hom(g, h, False, budget, order)
-    if mapping is None:
-        return None
-    hom = Homomorphism(g, h, mapping)
-    assert hom.is_valid()
-    return hom
+    return _checked_hom(g, h, budget, False)
 
 
-def find_embedding(g: DiGraph, h: DiGraph, *, budget: int = DEFAULT_BUDGET,
-                   order: str = "index") -> Homomorphism | None:
+def find_embedding(g: DiGraph, h: DiGraph, *,
+                   budget: int = DEFAULT_BUDGET) -> Homomorphism | None:
     """Like find_hom but the witness must be injective (a subgraph copy)."""
-    mapping = _search_hom(g, h, True, budget, order)
-    if mapping is None:
+    if g.n > h.n:
         return None
-    hom = Homomorphism(g, h, mapping)
-    assert hom.is_valid() and hom.is_injective()
-    return hom
+    return _checked_hom(g, h, budget, True)
 
 
 def cycle(n: int) -> DiGraph:
@@ -362,9 +440,12 @@ def to_dot(g: DiGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def graph_to_json_dict(g: DiGraph) -> dict:
+    return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
+
+
 def graph_to_json(g: DiGraph) -> str:
-    return json.dumps({"n": g.n, "edges": [list(e) for e in g.sorted_edges()]},
-                      sort_keys=True)
+    return json.dumps(graph_to_json_dict(g), sort_keys=True)
 
 
 def graph_from_json(text: str) -> DiGraph:

@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ArityNotDivisible, BudgetExceeded, SlotMismatch
-from .graph import DEFAULT_BUDGET, DiGraph
+from .errors import ArityNotDivisible, SlotMismatch
+from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _network
 
 
 @dataclass(frozen=True)
@@ -101,119 +101,22 @@ def gadget_from_json(text: str) -> Gadget:
                   int(data["slots"]))
 
 
-class _GadgetSolver:
-    """Existence search for gadget assignments with some vertices pinned."""
-
-    def __init__(self, gadget: Gadget, inputs: list[DiGraph], budget: int):
-        if len(inputs) != gadget.slot_count:
-            raise SlotMismatch(
-                f"gadget declares {gadget.slot_count} slots, got {len(inputs)} inputs")
-        if not inputs:
-            raise SlotMismatch("at least one input graph is required")
-        universe = inputs[0].n
-        if any(g.n != universe for g in inputs):
-            raise SlotMismatch("input graphs must share one vertex set")
-        self.gadget = gadget
-        self.universe = universe
-        self.budget = budget
-        self.expansions = 0
-        edge_sets = [g.edges for g in inputs]
-        # successor/predecessor sets per slot, for support checks
-        self.succ = [[set() for _ in range(universe)] for _ in edge_sets]
-        self.pred = [[set() for _ in range(universe)] for _ in edge_sets]
-        for t, es in enumerate(edge_sets):
-            for a, b in es:
-                self.succ[t][a].add(b)
-                self.pred[t][b].add(a)
-        self.constraints: list[list[tuple[int, int, bool]]] = [
-            [] for _ in range(gadget.vertex_count)]
-        loop_ok = [set(range(universe)) for _ in range(gadget.vertex_count)]
-        for t, a, b in gadget.typed_edges:
-            if a == b:
-                loop_ok[a] &= {x for x in range(universe) if (x, x) in edge_sets[t]}
-            else:
-                self.constraints[a].append((b, t, True))
-                self.constraints[b].append((a, t, False))
-        self.base = self._arc_consistent(
-            [sorted(loop_ok[v]) for v in range(gadget.vertex_count)])
-
-    def _arc_consistent(self, domains: list[list[int]]) -> list[list[int]]:
-        changed = True
-        while changed:
-            changed = False
-            for v in range(self.gadget.vertex_count):
-                for u, t, forward in self.constraints[v]:
-                    du = set(domains[u])
-                    nbr = self.succ[t] if forward else self.pred[t]
-                    kept = [x for x in domains[v] if nbr[x] & du]
-                    if len(kept) != len(domains[v]):
-                        domains[v] = kept
-                        changed = True
-        return domains
-
-    def solve(self, pins: dict[int, int]) -> tuple[int, ...] | None:
-        """Extend pinned vertices to a full assignment, or report None."""
-        domains: dict[int, list[int]] = {}
-        for v in range(self.gadget.vertex_count):
-            if v in pins:
-                if pins[v] not in self.base[v]:
-                    return None
-                domains[v] = [pins[v]]
-            else:
-                domains[v] = self.base[v]
-        # check constraints among pinned vertices up front
-        for v, a in pins.items():
-            for u, t, forward in self.constraints[v]:
-                if u in pins:
-                    edge = (a, pins[u]) if forward else (pins[u], a)
-                    if edge[1] not in self.succ[t][edge[0]]:
-                        return None
-        assignment = self._dfs(domains, {})
-        if assignment is None:
-            return None
-        return tuple(assignment[v] for v in range(self.gadget.vertex_count))
-
-    def _dfs(self, domains: dict[int, list[int]],
-             partial: dict[int, int]) -> dict[int, int] | None:
-        if not domains:
-            return partial
-        v = min(domains, key=lambda u: (len(domains[u]), u))
-        rest = {u: d for u, d in domains.items() if u != v}
-        for a in domains[v]:
-            self.expansions += 1
-            if self.expansions > self.budget:
-                raise BudgetExceeded(self.expansions)
-            pruned = self._prune(rest, v, a)
-            if pruned is None:
-                continue
-            partial[v] = a
-            result = self._dfs(pruned, partial)
-            if result is not None:
-                return result
-            del partial[v]
-        return None
-
-    def _prune(self, rest: dict[int, list[int]], v: int,
-               a: int) -> dict[int, list[int]] | None:
-        new = dict(rest)
-        for u, t, forward in self.constraints[v]:
-            if u not in new:
-                continue
-            allowed = self.succ[t][a] if forward else self.pred[t][a]
-            flt = [b for b in new[u] if b in allowed]
-            if not flt:
-                return None
-            new[u] = flt
-        return new
-
-
-def _pin_distinguished(gadget: Gadget, values: tuple[int, ...]) -> dict[int, int] | None:
-    pins: dict[int, int] = {}
-    for vert, val in zip(gadget.distinguished, values):
-        if pins.get(vert, val) != val:
-            return None
-        pins[vert] = val
-    return pins
+def _gadget_network(gadget: Gadget,
+                    inputs: list[DiGraph]) -> tuple[list, list, list, int]:
+    """Domains, arcs and variable order for the search over gadget
+    assignments, plus the number of distinct distinguished vertices, which
+    come first in the order."""
+    if len(inputs) != gadget.slot_count:
+        raise SlotMismatch(
+            f"gadget declares {gadget.slot_count} slots, got {len(inputs)} inputs")
+    if not inputs:
+        raise SlotMismatch("at least one input graph is required")
+    if any(g.n != inputs[0].n for g in inputs):
+        raise SlotMismatch("input graphs must share one vertex set")
+    domains, arcs = _network(gadget.vertex_count, gadget.typed_edges, inputs)
+    first = list(dict.fromkeys(gadget.distinguished))
+    order = first + sorted(set(range(gadget.vertex_count)) - set(first))
+    return domains, arcs, order, len(first)
 
 
 def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
@@ -222,33 +125,36 @@ def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
 
     A tuple (v1..vk) is included iff some map from gadget vertices to input
     vertices sends each distinguished vertex to its v_i and every typed edge
-    into the corresponding input graph.  Distinguished vertices are pinned in
-    an outer enumeration; the rest is backtracking with forward checking.
+    into the corresponding input graph.  One search with maintained arc
+    consistency assigns the distinguished vertices first; after the first
+    full extension of their values it moves on to the next values, so each
+    tuple costs one extension rather than a search of its own.
     """
-    solver = _GadgetSolver(gadget, inputs, budget)
-    k = gadget.arity
-    found = set()
-    if any(not d for d in solver.base):
-        return Relation(solver.universe, k, frozenset())
-    for values in product(range(solver.universe), repeat=k):
-        pins = _pin_distinguished(gadget, values)
-        if pins is None:
-            continue
-        if solver.solve(pins) is not None:
-            found.add(values)
-    return Relation(solver.universe, k, frozenset(found))
+    domains, arcs, order, k = _gadget_network(gadget, inputs)
+    found = {tuple(asg[v] for v in gadget.distinguished)
+             for asg in _arc_search(domains, arcs, order, budget, project=k)}
+    return Relation(inputs[0].n, gadget.arity, frozenset(found))
 
 
 def witness(gadget: Gadget, inputs: list[DiGraph], values: tuple[int, ...], *,
             budget: int = DEFAULT_BUDGET) -> tuple[int, ...] | None:
-    """A full gadget assignment realizing the given output tuple, or None."""
+    """A full gadget assignment realizing the given output tuple, or None.
+
+    The assignment is re-checked against every typed edge before it is
+    returned.
+    """
     if len(values) != gadget.arity:
         raise ValueError("witness tuple must match the gadget arity")
-    solver = _GadgetSolver(gadget, inputs, budget)
-    pins = _pin_distinguished(gadget, values)
-    if pins is None:
-        return None
-    return solver.solve(pins)
+    domains, arcs, order, _ = _gadget_network(gadget, inputs)
+    for v, x in zip(gadget.distinguished, values):
+        domains[v] &= 1 << x if 0 <= x < inputs[0].n else 0
+    asg = next(_arc_search(domains, arcs, order, budget), None)
+    if asg is not None and (
+            any(asg[v] != x for v, x in zip(gadget.distinguished, values))
+            or any((asg[a], asg[b]) not in inputs[t].edges
+                   for t, a, b in gadget.typed_edges)):
+        raise AssertionError("search returned an assignment that breaks a constraint")
+    return asg
 
 
 def pp_power(r: Relation, l: int) -> Relation:

@@ -119,6 +119,11 @@ def test_verify_subcommand(capsys) -> None:
     assert main(["verify", "--cycle-k", "2"]) == 2
 
 
+def test_verify_largest_cycle_reduction(capsys) -> None:
+    assert main(["verify", "--cycle-k", "49", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+
+
 def test_graph_info(capsys) -> None:
     assert main(["graph-info", SMOOTH, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import product
@@ -6,9 +7,11 @@ import pytest
 
 from helpers import walk_pairs_brute
 from loopcond import (DiGraph, NotSymmetric, Report, SizeCap, clique, clique_F,
-                      clique_Q, clique_R, cycle, evaluate, has_loop,
-                      is_symmetric, report_to_json, verify_clique_claims,
-                      verify_cycle_reduction, walk_gadget, walk_relation)
+                      clique_Q, clique_R, cycle, evaluate, gadget_to_json,
+                      has_loop, is_symmetric, report_to_json,
+                      verify_clique_claims, verify_cycle_reduction, walk_gadget,
+                      walk_relation)
+from loopcond.constructions import clique_s_gadget
 
 
 def test_walk_relation_length_one_is_the_graph() -> None:
@@ -99,6 +102,15 @@ def test_clique_q_on_triangle_relates_all_distinct_pairs() -> None:
         assert ((p, s) in q.edges) == (p != s)
 
 
+def test_clique_s_gadget_frozen_layout() -> None:
+    # the layout S had when it spelled out its own copies of R
+    frozen = {3: "57a699c7d971348e", 4: "df68ed73a85e7872",
+              5: "3984add99fd7043f", 6: "951146605ccfbe92"}
+    for n, digest in frozen.items():
+        text = gadget_to_json(clique_s_gadget(n))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 def test_clique_q_on_empty_graph_is_empty() -> None:
     assert clique_Q(DiGraph(4, frozenset()), 3).edges == frozenset()
 
@@ -112,6 +124,12 @@ def test_verify_cycle_reduction_passes() -> None:
         assert names == ["square_cycle_maps_to_target_cycle",
                          "walk_power_contains_base_cycle",
                          "walk_power_loopless"]
+
+
+def test_verify_cycle_reduction_up_to_the_size_cap() -> None:
+    # C_{k^2} -> C_{k+2} searches 2401 vertices deep at k = 49
+    for k in (21, 33, 49):
+        assert verify_cycle_reduction(k).all_pass
 
 
 def test_verify_cycle_reduction_preconditions() -> None:

@@ -87,6 +87,13 @@ def test_hom_returns_lexicographically_least_witness() -> None:
     assert hom.mapping == min(all_homomorphisms(cycle(5), clique(3)))
 
 
+def test_embedding_returns_lexicographically_least_witness() -> None:
+    emb = find_embedding(cycle(5), petersen())
+    assert emb is not None
+    assert emb.mapping == min(m for m in all_homomorphisms(cycle(5), petersen())
+                              if len(set(m)) == 5)
+
+
 def test_hom_search_complete_on_small_instances() -> None:
     rng = random.Random(5)
     small = [cycle(k) for k in (1, 2, 3, 4, 5)] + [clique(k) for k in (1, 2, 3)]
@@ -103,6 +110,12 @@ def test_hom_search_complete_on_small_instances() -> None:
             assert (emb is not None) == embedding_exists_brute(g, h)
             if emb is not None:
                 assert emb.is_valid() and emb.is_injective()
+
+
+def test_cycle_reduction_search_is_backtrack_free() -> None:
+    # with arc consistency maintained, one expansion per vertex suffices
+    for k in (3, 9, 21):
+        assert find_hom(cycle(k * k), cycle(k + 2), budget=k * k) is not None
 
 
 def test_hom_composition_on_test_family() -> None:
@@ -132,17 +145,6 @@ def test_budget_exceeded_is_distinct_from_absence() -> None:
     with pytest.raises(BudgetExceeded):
         find_hom(clique(3), clique(5), budget=1)
     assert find_hom(clique(3), cycle(5), budget=10**6) is None
-
-
-def test_mrv_mode_agrees_on_existence() -> None:
-    pairs = [(cycle(5), clique(3)), (clique(3), cycle(5)),
-             (cycle(9), cycle(7)), (petersen(), clique(3))]
-    for g, h in pairs:
-        default = find_hom(g, h)
-        fast = find_hom(g, h, order="mrv")
-        assert (default is None) == (fast is None)
-        if fast is not None:
-            assert fast.is_valid()
 
 
 def test_is_smooth() -> None:
