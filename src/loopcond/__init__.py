@@ -13,10 +13,10 @@ from .classify import (Classification, ConditionKind, classification_to_json,
 from .constructions import (Check, Report, clique_F, clique_Q, clique_R,
                             report_to_json, verify_clique_claims,
                             verify_cycle_reduction, walk_gadget, walk_relation)
-from .errors import (ArityMismatch, ArityNotDivisible, BadTerm, BudgetExceeded,
-                     ConditionSyntaxError, EmptyArgs, ExponentCap, LoopcondError,
-                     NotSymmetric, NotWeaklyConnected, SizeCap, SlotMismatch,
-                     SymbolMismatch, UniverseMismatch)
+from .errors import (AlgebraFormatError, ArityMismatch, ArityNotDivisible, BadTerm,
+                     BudgetExceeded, ConditionSyntaxError, EmptyArgs, ExponentCap,
+                     LoopcondError, NotSymmetric, NotWeaklyConnected, SizeCap,
+                     SlotMismatch, SymbolMismatch, UniverseMismatch)
 from .graph import (DiGraph, Homomorphism, algebraic_length, clique, cycle,
                     directed_cycle, find_embedding, find_hom, graph_from_json,
                     graph_to_json, has_loop, is_bipartite, is_smooth,

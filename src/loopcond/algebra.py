@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Union
 
-from .errors import BadTerm, ExponentCap, UniverseMismatch
-from .identity import LoopCondition, condition_graph
+from .errors import AlgebraFormatError, BadTerm, ExponentCap, UniverseMismatch
+from .identity import LoopCondition
 from .ppdef import Relation
 
 #: Default cap on free-algebra table entries (size ** variables).
@@ -49,10 +49,13 @@ class FiniteAlgebra:
         for op in self.operations:
             if op.arity < 0:
                 raise ValueError(f"operation {op.name} has negative arity")
-            if len(op.table) != self.size ** op.arity:
+            # arity > len(table) is wrong for size > 1: never build size ** huge
+            if self.size > 1 and op.arity > len(op.table) \
+                    or len(op.table) != self.size ** op.arity:
                 raise ValueError(f"operation {op.name} table has wrong length")
-            if any(not 0 <= x < self.size for x in op.table):
-                raise ValueError(f"operation {op.name} table leaves the universe")
+            if any(type(x) is not int or not 0 <= x < self.size for x in op.table):
+                raise ValueError(f"operation {op.name} table entries must be ints "
+                                 f"in range({self.size})")
             if op.name in names:
                 raise ValueError(f"duplicate operation name {op.name}")
             names.add(op.name)
@@ -78,11 +81,27 @@ def algebra_to_json(a: FiniteAlgebra) -> str:
     }, sort_keys=True)
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key], if obj is a JSON object and type(value) is kind (bool is not int)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if type(value) is not kind:
+        raise ValueError(f"expected an object with {kind.__name__} {key!r}")
+    return value
+
+
 def algebra_from_json(text: str) -> FiniteAlgebra:
-    data = json.loads(text)
-    ops = tuple(Operation(str(o["name"]), int(o["arity"]), tuple(o["table"]))
-                for o in data["operations"])
-    return FiniteAlgebra(int(data["size"]), ops)
+    """Read the algebra JSON format strictly: an object with int `size` and
+    a list of `operations`, each with str `name`, int `arity` and a list
+    `table`.  Raises AlgebraFormatError for anything else, and for tables
+    that FiniteAlgebra rejects (entries must be ints in range(size))."""
+    try:
+        data = json.loads(text)
+        ops = tuple(Operation(_field(o, "name", str), _field(o, "arity", int),
+                              tuple(_field(o, "table", list)))
+                    for o in _field(data, "operations", list))
+        return FiniteAlgebra(_field(data, "size", int), ops)
+    except ValueError as exc:
+        raise AlgebraFormatError(f"bad algebra JSON: {exc}") from None
 
 
 def mod_affine_algebra(m: int) -> FiniteAlgebra:
@@ -124,44 +143,73 @@ def term_to_string(t: Term) -> str:
     return f"{t.op}({','.join(term_to_string(s) for s in t.args)})"
 
 
-def _validate_term(a: FiniteAlgebra, t: Term, arity: int) -> None:
-    if isinstance(t, Var):
-        if not 0 <= t.index < arity:
-            raise BadTerm(f"leaf x{t.index + 1} outside arity {arity}")
-        return
-    try:
-        op = a.operation(t.op)
-    except KeyError:
-        raise BadTerm(f"unknown operation {t.op!r}") from None
-    if len(t.args) != op.arity:
-        raise BadTerm(f"{t.op} expects {op.arity} arguments, got {len(t.args)}")
-    for s in t.args:
-        _validate_term(a, s, arity)
+def _apply_columns(op: Operation, size: int, cols, length: int) -> tuple[int, ...]:
+    """The table kernel: op applied row by row to `length`-long argument
+    columns, one column per argument."""
+    if op.arity == 0:
+        return (op.table[0],) * length
+    index = cols[0]
+    for col in cols[1:]:
+        index = [i * size + x for i, x in zip(index, col)]
+    return tuple(map(op.table.__getitem__, index))
+
+
+def _term_column(a: FiniteAlgebra, t: Term, leaves, length: int) -> tuple[int, ...]:
+    """The `length`-row table of t, leaf x(i+1) reading the column leaves[i].
+
+    Walks the term DAG once, composing each distinct subterm (by id) with
+    the table kernel, and raises BadTerm for an unknown operation, a wrong
+    argument count or a leaf out of range.
+    """
+    ops = {op.name: op for op in a.operations}
+    done: dict[int, tuple[int, ...]] = {}
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if id(s) in done:
+            continue
+        if isinstance(s, Var):
+            if not 0 <= s.index < len(leaves):
+                raise BadTerm(f"leaf x{s.index + 1} outside arity {len(leaves)}")
+            done[id(s)] = leaves[s.index]
+            continue
+        op = ops.get(s.op)
+        if op is None:
+            raise BadTerm(f"unknown operation {s.op!r}")
+        if len(s.args) != op.arity:
+            raise BadTerm(f"{s.op} expects {op.arity} arguments, got {len(s.args)}")
+        pending = [u for u in s.args if id(u) not in done]
+        if pending:
+            stack += [s, *pending]
+        else:
+            cols = [done[id(u)] for u in s.args]
+            done[id(s)] = _apply_columns(op, a.size, cols, length)
+    return done[id(t)]
 
 
 def evaluate_term(a: FiniteAlgebra, t: Term, args: tuple[int, ...]) -> int:
-    if isinstance(t, Var):
-        return args[t.index]
-    op = a.operation(t.op)
-    return a.apply(op, tuple(evaluate_term(a, s, args) for s in t.args))
+    """Value of t at one row of arguments; raises BadTerm for an unknown
+    operation, a wrong argument count or a leaf outside args."""
+    return _term_column(a, t, [(x,) for x in args], 1)[0]
+
+
+def _projections(size: int, n: int) -> list[tuple[int, ...]]:
+    """The n projection tables over all size^n rows, last variable fastest."""
+    rows = list(product(range(size), repeat=n))
+    return [tuple(row[j] for row in rows) for j in range(n)]
 
 
 def verify_witness(a: FiniteAlgebra, c: LoopCondition, t: Term) -> bool:
     """Check t(u1..un) = t(v1..vn) as functions of the condition's variables.
 
-    Compares the two derived tables row by row over all size^|variables|
-    assignments.  Raises BadTerm for structurally invalid terms.
+    Composes the table of each side over all size^|variables| assignments,
+    once per distinct subterm, and compares the two.  Raises BadTerm for
+    structurally invalid terms.
     """
-    _validate_term(a, t, c.arity)
-    index = {name: i for i, name in enumerate(c.variables)}
-    lpat = [index[u] for u in c.lhs]
-    rpat = [index[v] for v in c.rhs]
-    for asg in product(range(a.size), repeat=len(c.variables)):
-        largs = tuple(asg[i] for i in lpat)
-        rargs = tuple(asg[i] for i in rpat)
-        if evaluate_term(a, t, largs) != evaluate_term(a, t, rargs):
-            return False
-    return True
+    proj = dict(zip(c.variables, _projections(a.size, len(c.variables))))
+    length = a.size ** len(c.variables)
+    left = _term_column(a, t, [proj[u] for u in c.lhs], length)
+    return left == _term_column(a, t, [proj[v] for v in c.rhs], length)
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +221,11 @@ def is_compatible(a: FiniteAlgebra, r: Relation) -> bool:
         raise UniverseMismatch(
             f"relation over {r.universe_size} elements, algebra over {a.size}")
     tuples = r.sorted_tuples()
-    members = r.tuples
     for op in a.operations:
         for args in product(tuples, repeat=op.arity):
-            out = tuple(a.apply(op, tuple(t[j] for t in args))
-                        for j in range(r.arity))
-            if out not in members:
+            if _apply_columns(op, a.size, args, r.arity) not in r.tuples:
                 return False
     return True
-
-
-class _CapHit(Exception):
-    pass
-
-
-class _Found(Exception):
-    pass
 
 
 @dataclass
@@ -208,34 +245,16 @@ def _close(seeds, ops, cap: int, stop: Callable | None = None) -> _Closure:
     Stops early when `stop` accepts a generated item.
     """
     items: list = []
-    index: dict = {}
     prov: dict = {}
-    found = None
 
-    def add(item, p):
-        nonlocal found
-        if item in index:
-            return
-        index[item] = len(items)
-        items.append(item)
-        prov[item] = p
-        if stop is not None and stop(item):
-            found = item
-            raise _Found
-        if len(items) > cap:
-            raise _CapHit
-
-    try:
-        for item, p in seeds:
-            add(item, p)
+    def candidates():
+        yield from seeds
         for name, arity, fn in ops:
             if arity == 0:
-                add(fn(()), (name, ()))
+                yield fn(()), (name, ())
         t = 0
         while t < len(items):
             for name, arity, fn in ops:
-                if arity == 0:
-                    continue
                 # combinations over items[0..t] containing index t, grouped by
                 # the position of the first occurrence of t
                 for p in range(arity):
@@ -243,12 +262,18 @@ def _close(seeds, ops, cap: int, stop: Callable | None = None) -> _Closure:
                             [range(t + 1)] * (arity - 1 - p)
                     for combo in product(*pools):
                         args = tuple(items[i] for i in combo)
-                        add(fn(args), (name, args))
+                        yield fn(args), (name, args)
             t += 1
-    except _Found:
-        return _Closure(items, prov, False, found)
-    except _CapHit:
-        return _Closure(items, prov, False, None)
+
+    for item, p in candidates():
+        if item in prov:
+            continue
+        items.append(item)
+        prov[item] = p
+        if stop is not None and stop(item):
+            return _Closure(items, prov, False, item)
+        if len(items) > cap:
+            return _Closure(items, prov, False, None)
     return _Closure(items, prov, True, None)
 
 
@@ -276,12 +301,8 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
             raise ValueError(f"generator {g} is not a valid {k}-tuple")
     seeds = [(g, ("gen", i)) for i, g in enumerate(gens)]
 
-    def coordinatewise(op: Operation):
-        def fn(args):
-            return tuple(a.apply(op, tuple(t[j] for t in args)) for j in range(k))
-        return fn
-
-    ops = [(op.name, op.arity, coordinatewise(op)) for op in a.operations]
+    ops = [(op.name, op.arity, lambda args, op=op: _apply_columns(op, a.size, args, k))
+           for op in a.operations]
     res = _close(seeds, ops, cap)
     return SubpowerResult(Relation(a.size, k, frozenset(res.items)),
                           res.provenance, res.complete, len(res.items))
@@ -347,11 +368,10 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
     ResourceExceeded when the element cap is hit.
     """
     n = len(c.variables)
-    if a.size ** n > max_entries:
+    rows = a.size ** n
+    if rows > max_entries:
         raise ExponentCap(
-            f"free-algebra tables need {a.size ** n} entries, cap is {max_entries}")
-    assignments = list(product(range(a.size), repeat=n))
-    projections = [tuple(asg[j] for asg in assignments) for j in range(n)]
+            f"free-algebra tables need {rows} entries, cap is {max_entries}")
 
     tables: list[tuple[int, ...]] = []
     table_id: dict[tuple[int, ...], int] = {}
@@ -364,31 +384,16 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
         tables.append(table)
         return len(tables) - 1
 
-    proj_ids = [intern(p) for p in projections]
-    rows = range(len(assignments))
+    proj_id = {v: intern(p) for v, p in zip(c.variables, _projections(a.size, n))}
     compose_memo: dict[tuple, int] = {}
-    size = a.size
 
     def compose(op_idx: int, op: Operation, ids: tuple[int, ...]) -> int:
         key = (op_idx, *ids)
         got = compose_memo.get(key)
-        if got is not None:
-            return got
-        cols = [tables[i] for i in ids]
-        table = op.table
-        if op.arity == 0:
-            out = (table[0],) * len(assignments)
-        else:
-            values = []
-            for r in rows:
-                idx = 0
-                for col in cols:
-                    idx = idx * size + col[r]
-                values.append(table[idx])
-            out = tuple(values)
-        result = intern(out)
-        compose_memo[key] = result
-        return result
+        if got is None:
+            got = compose_memo[key] = intern(
+                _apply_columns(op, a.size, [tables[i] for i in ids], rows))
+        return got
 
     def pairwise(op_idx: int, op: Operation):
         def fn(args):
@@ -401,16 +406,10 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
            for i, op in enumerate(a.operations)]
 
     # one generator per deduplicated edge, tagged with its first position
-    index = {name: i for i, name in enumerate(c.variables)}
-    seeds = []
-    seen_edges = set()
-    for pos in range(c.arity):
-        edge = (index[c.lhs[pos]], index[c.rhs[pos]])
-        if edge in seen_edges:
-            continue
-        seen_edges.add(edge)
-        seeds.append(((proj_ids[edge[0]], proj_ids[edge[1]]), ("pos", pos)))
-    assert seen_edges == set(condition_graph(c).edges)
+    first: dict[tuple[str, str], int] = {}
+    for pos, edge in enumerate(zip(c.lhs, c.rhs)):
+        first.setdefault(edge, pos)
+    seeds = [((proj_id[u], proj_id[v]), ("pos", pos)) for (u, v), pos in first.items()]
 
     res = _close(seeds, ops, max_elements, stop=lambda pair: pair[0] == pair[1])
     if res.found is not None:

@@ -62,3 +62,7 @@ class ExponentCap(LoopcondError):
 
 class BadTerm(LoopcondError):
     """Term references unknown operations, wrong arities, or out-of-range leaves."""
+
+
+class AlgebraFormatError(LoopcondError):
+    """Algebra JSON is not an object of the documented shape and types."""

@@ -6,7 +6,7 @@ enumeration of maps, naive fixpoints, and dynamic programming over walks.
 
 from itertools import permutations, product
 
-from loopcond import DiGraph, Gadget, Relation, find_embedding
+from loopcond import DiGraph, Gadget, Relation, Var, find_embedding
 
 
 def all_homomorphisms(g: DiGraph, h: DiGraph) -> list[tuple[int, ...]]:
@@ -71,6 +71,24 @@ def subpower_brute(algebra, k: int, generators) -> set[tuple[int, ...]]:
                     current.add(out)
                     changed = True
     return current
+
+
+def term_value_brute(algebra, t, args: tuple[int, ...]) -> int:
+    """A term's value at one row, walking it as a tree with FiniteAlgebra.apply."""
+    if isinstance(t, Var):
+        return args[t.index]
+    return algebra.apply(algebra.operation(t.op),
+                         tuple(term_value_brute(algebra, s, args) for s in t.args))
+
+
+def witness_holds_brute(algebra, c, t) -> bool:
+    """t(lhs) = t(rhs) checked row by row over every assignment of c's variables."""
+    for row in product(range(algebra.size), repeat=len(c.variables)):
+        value = dict(zip(c.variables, row))
+        if term_value_brute(algebra, t, tuple(value[u] for u in c.lhs)) != \
+                term_value_brute(algebra, t, tuple(value[v] for v in c.rhs)):
+            return False
+    return True
 
 
 def isomorphic(g: DiGraph, h: DiGraph) -> bool:

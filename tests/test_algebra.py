@@ -1,11 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
-from helpers import subpower_brute
-from loopcond import (App, BadTerm, COMMUTATIVITY_IDENTITY, ExponentCap,
-                      FiniteAlgebra, LoopCondition, NotSatisfied, Operation,
+from helpers import subpower_brute, term_value_brute, witness_holds_brute
+from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
+                      ExponentCap, FiniteAlgebra, LoopCondition, NotSatisfied, Operation,
                       Relation, ResourceExceeded, SIGGERS_IDENTITY, Satisfied,
                       UniverseMismatch, Var, affine_remark_audit,
                       affine_satisfies, algebra_from_json, algebra_to_json,
@@ -31,6 +32,12 @@ def test_algebra_validation() -> None:
         FiniteAlgebra(2, (Operation("f", 1, (0, 1)), Operation("f", 0, (0,))))
     with pytest.raises(ValueError):
         FiniteAlgebra(0, ())
+    with pytest.raises(ValueError):
+        FiniteAlgebra(2, (Operation("f", 1, (0, 1.0)),))
+    with pytest.raises(ValueError):
+        FiniteAlgebra(2, (Operation("f", 1, (0, True)),))
+    with pytest.raises(ValueError):  # rejected without computing 3 ** 10**8
+        FiniteAlgebra(3, (Operation("f", 10**8, (0,)),))
 
 
 def test_table_index_contract_last_argument_fastest() -> None:
@@ -53,6 +60,10 @@ def test_algebra_json_roundtrip() -> None:
         assert algebra_from_json(algebra_to_json(a)) == a
     text = algebra_to_json(PROJ)
     assert '"size": 2' in text and '"table": [0, 0, 1, 1]' in text
+    for bad in ('[1]', '{"size": 2}', text.replace('"size": 2', '"size": 2.0'),
+                text.replace('"p1"', '1'), text.replace('[0, 0, 1, 1]', '[0, 0, 1, 2]')):
+        with pytest.raises(AlgebraFormatError):
+            algebra_from_json(bad)
 
 
 def test_is_compatible_examples() -> None:
@@ -73,8 +84,8 @@ def test_generate_subpower_spec_examples() -> None:
     assert res.complete
 
 
-def _random_algebra(rng: random.Random) -> FiniteAlgebra:
-    size = rng.randint(2, 3)
+def _random_algebra(rng: random.Random, max_size: int = 3) -> FiniteAlgebra:
+    size = rng.randint(2, max_size)
     ops = []
     for i in range(rng.randint(1, 2)):
         arity = rng.randint(1, 2)
@@ -98,6 +109,15 @@ def test_generate_subpower_matches_brute_fixpoint() -> None:
         assert res.relation.tuples == frozenset(expected)
         assert is_compatible(a, res.relation)
         assert frozenset(gens) <= res.relation.tuples
+    # 3-tuples over up to 4 elements: kernel columns longer than the arity
+    for _ in range(15):
+        a = _random_algebra(rng, max_size=4)
+        gens = [tuple(rng.randrange(a.size) for _ in range(3))
+                for _ in range(rng.randint(0, 3))]
+        res = generate_subpower(a, 3, gens)
+        assert res.complete
+        assert res.relation.tuples == frozenset(subpower_brute(a, 3, gens))
+        assert is_compatible(a, res.relation)
 
 
 def test_generate_subpower_provenance_replays() -> None:
@@ -283,6 +303,56 @@ def test_verify_witness_and_bad_terms() -> None:
     with pytest.raises(BadTerm):
         verify_witness(Z2, SIGGERS, App("m", (Var(0), Var(1))))
     assert wrong is not None
+    with pytest.raises(BadTerm):
+        evaluate_term(Z2, Var(2), (0, 1))
+    with pytest.raises(BadTerm):
+        evaluate_term(Z2, Var(-1), (0, 1))
+    with pytest.raises(BadTerm):
+        evaluate_term(Z2, App("nope", (Var(0),)), (0, 1))
+    with pytest.raises(BadTerm):
+        evaluate_term(Z2, App("m", (Var(0), Var(1))), (0, 1))
+
+
+def _random_term(rng: random.Random, a: FiniteAlgebra, arity: int):
+    """A term whose subterms are drawn from a growing pool, so that later
+    applications share earlier subterm objects."""
+    pool = [Var(i) for i in range(arity)]
+    for _ in range(rng.randint(0, 5)):
+        op = rng.choice(a.operations)
+        pool.append(App(op.name, tuple(rng.choice(pool) for _ in range(op.arity))))
+    return pool[-1]
+
+
+def test_verify_witness_matches_row_oracle() -> None:
+    rng = random.Random(77)
+    outcomes = set()
+    for _ in range(60):
+        a = _random_algebra(rng)
+        arity = rng.randint(1, 4)
+        names = [f"v{i}" for i in range(rng.randint(1, 3))]
+        c = LoopCondition("t", tuple(rng.choice(names) for _ in range(arity)),
+                          tuple(rng.choice(names) for _ in range(arity)))
+        terms = [_random_term(rng, a, arity) for _ in range(3)]
+        decision = satisfies_condition(a, c, max_elements=2000)
+        if isinstance(decision, Satisfied):
+            terms.append(decision.term)
+        for t in terms:
+            expected = witness_holds_brute(a, c, t)
+            assert verify_witness(a, c, t) == expected
+            outcomes.add(expected)
+            row = tuple(rng.randrange(a.size) for _ in range(arity))
+            assert evaluate_term(a, t, row) == term_value_brute(a, t, row)
+    assert outcomes == {True, False}
+
+
+def test_shared_dag_term_is_evaluated_once_per_subterm() -> None:
+    term = Var(0)
+    for _ in range(40):  # over 2^40 tree nodes, only 40 distinct applications
+        term = App("m", (term, term, Var(1)))
+    t0 = time.perf_counter()
+    assert evaluate_term(Z2, term, (0, 1)) == 1  # m(t,t,y) = y over Z2
+    assert not verify_witness(Z2, COMMUT, term)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_term_rendering_and_evaluation() -> None:

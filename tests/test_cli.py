@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import loopcond
 
 from loopcond import SIGGERS_IDENTITY, algebra_to_json, mod_affine_algebra
 from loopcond.cli import main
@@ -69,6 +75,27 @@ def test_satisfies_decisions(z2_file, capsys) -> None:
     assert "NotSatisfied" in capsys.readouterr().out
     assert main(["satisfies", "--algebra", z2_file, SIGGERS_IDENTITY]) == 0
     assert "Satisfied" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    '{"operations": []}',
+    '[1]',
+    '{"size": 2, "operations": [{"name": "f", "arity": 1, "table": [0, 1.5]}]}',
+    '{"size": 2, "operations": [{"name": "f", "arity": 1, "table": [0, true]}]}',
+    '{"size": 2, "operations": [{"name": "f", "arity": 1}]}',
+    '{"size": 3, "operations": [{"name": "f", "arity": 100000000, "table": [0]}]}',
+], ids=["no-size", "top-level-list", "float-entry", "bool-entry", "no-table",
+        "huge-arity"])
+def test_satisfies_rejects_malformed_algebra(tmp_path, text) -> None:
+    target = tmp_path / "bad.json"
+    target.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(loopcond.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "loopcond.cli", "satisfies",
+                           "t(x,y)=t(y,x)", "--algebra", str(target)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_satisfies_affine_cross_check(z2_file, capsys) -> None:
