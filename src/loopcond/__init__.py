@@ -15,8 +15,9 @@ from .constructions import (Check, Report, clique_F, clique_Q, clique_R,
                             verify_cycle_reduction, walk_gadget, walk_relation)
 from .errors import (AlgebraFormatError, ArityMismatch, ArityNotDivisible, BadTerm,
                      BudgetExceeded, ConditionSyntaxError, EmptyArgs, ExponentCap,
-                     LoopcondError, NotSymmetric, NotWeaklyConnected, SizeCap,
-                     SlotMismatch, SymbolMismatch, UniverseMismatch)
+                     GadgetFormatError, GraphFormatError, LoopcondError, NotSymmetric,
+                     NotWeaklyConnected, SizeCap, SlotMismatch, SymbolMismatch,
+                     UniverseMismatch)
 from .graph import (DiGraph, Homomorphism, algebraic_length, clique, cycle,
                     directed_cycle, find_embedding, find_hom, graph_from_json,
                     graph_to_json, has_loop, is_bipartite, is_smooth,

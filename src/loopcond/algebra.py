@@ -3,18 +3,23 @@
 The decision procedure realizes the free algebra on the condition's variables
 inside A^(A^n): elements are dense tables A^n -> A generated from the n
 projections.  The condition holds iff the subpower of pair-tables generated
-by the condition graph's edges reaches a diagonal element; provenance of the
-closure is replayed to extract a witness term.
+by the condition graph's edges reaches a diagonal element.  The closure is
+run on a subset R of the A^n rows, which starts empty: a closure on R
+without a diagonal pair refutes the condition, and a diagonal pair on R is
+replayed from provenance into a candidate term, which is checked on all rows
+and either returned or refuted by rows that then join R.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Union
 
 from .errors import AlgebraFormatError, BadTerm, ExponentCap, UniverseMismatch
+from .graph import _field
 from .identity import LoopCondition
 from .ppdef import Relation
 
@@ -81,14 +86,6 @@ def algebra_to_json(a: FiniteAlgebra) -> str:
     }, sort_keys=True)
 
 
-def _field(obj, key: str, kind: type):
-    """obj[key], if obj is a JSON object and type(value) is kind (bool is not int)."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if type(value) is not kind:
-        raise ValueError(f"expected an object with {kind.__name__} {key!r}")
-    return value
-
-
 def algebra_from_json(text: str) -> FiniteAlgebra:
     """Read the algebra JSON format strictly: an object with int `size` and
     a list of `operations`, each with str `name`, int `arity` and a list
@@ -138,9 +135,24 @@ Term = Union[Var, App]
 
 
 def term_to_string(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"x{t.index + 1}"
-    return f"{t.op}({','.join(term_to_string(s) for s in t.args)})"
+    """`x1` for Var(0), `op(s1,..,sk)` for an application; walks the term
+    with an explicit stack, so any depth renders."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif isinstance(s, Var):
+            out.append(f"x{s.index + 1}")
+        else:
+            out.append(f"{s.op}(")
+            stack.append(")")
+            for i in range(len(s.args) - 1, -1, -1):
+                stack.append(s.args[i])
+                if i:
+                    stack.append(",")
+    return "".join(out)
 
 
 def _apply_columns(op: Operation, size: int, cols, length: int) -> tuple[int, ...]:
@@ -199,17 +211,28 @@ def _projections(size: int, n: int) -> list[tuple[int, ...]]:
     return [tuple(row[j] for row in rows) for j in range(n)]
 
 
-def verify_witness(a: FiniteAlgebra, c: LoopCondition, t: Term) -> bool:
-    """Check t(u1..un) = t(v1..vn) as functions of the condition's variables.
+def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term) -> list[int]:
+    """The rows (assignments of the condition's variables, last variable
+    fastest, in that order) where t(u1..un) and t(v1..vn) differ.
 
-    Composes the table of each side over all size^|variables| assignments,
-    once per distinct subterm, and compares the two.  Raises BadTerm for
-    structurally invalid terms.
+    Composes the table of each side over all size^|variables| rows, once per
+    distinct subterm, and compares the two.  Raises BadTerm for structurally
+    invalid terms.
     """
     proj = dict(zip(c.variables, _projections(a.size, len(c.variables))))
     length = a.size ** len(c.variables)
     left = _term_column(a, t, [proj[u] for u in c.lhs], length)
-    return left == _term_column(a, t, [proj[v] for v in c.rhs], length)
+    right = _term_column(a, t, [proj[v] for v in c.rhs], length)
+    if left == right:
+        return []
+    return [r for r, (x, y) in enumerate(zip(left, right)) if x != y]
+
+
+def verify_witness(a: FiniteAlgebra, c: LoopCondition, t: Term) -> bool:
+    """Check t(u1..un) = t(v1..vn) as functions of the condition's variables,
+    over all size^|variables| assignments.  Raises BadTerm for structurally
+    invalid terms."""
+    return not _differing_rows(a, c, t)
 
 
 # ---------------------------------------------------------------------------
@@ -339,40 +362,40 @@ def decision_to_json_dict(d: Decision) -> dict:
 
 
 def _term_from_provenance(item, provenance) -> Term:
-    cache: dict = {}
-
-    def build(x) -> Term:
-        if x in cache:
-            return cache[x]
+    """The term that generated item: Var(i) for a seed tagged ("pos", i),
+    op(parents) for one tagged (op, parents).  Walks the provenance with an
+    explicit stack and builds one Term per item, so shared parents give a
+    shared DAG and any depth replays."""
+    built: dict = {}
+    stack = [item]
+    while stack:
+        x = stack[-1]
+        if x in built:
+            stack.pop()
+            continue
         tag, payload = provenance[x]
         if tag == "pos":
-            term: Term = Var(payload)
+            built[x] = Var(payload)
         else:
-            term = App(tag, tuple(build(parent) for parent in payload))
-        cache[x] = term
-        return term
+            pending = [p for p in payload if p not in built]
+            if pending:
+                stack += pending
+                continue
+            built[x] = App(tag, tuple(built[p] for p in payload))
+        stack.pop()
+    return built[item]
 
-    return build(item)
 
+def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
+                 length: int, cap: int) -> _Closure:
+    """Close the pairs (proj_u, proj_v), one per deduplicated edge (u, v) of
+    the condition, as `length`-row tables, stopping at the first pair whose
+    two tables are equal.
 
-def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
-                        max_entries: int = DEFAULT_MAX_ENTRIES,
-                        max_elements: int = DEFAULT_MAX_ELEMENTS) -> Decision:
-    """Decide whether the algebra has a term satisfying the identity.
-
-    Generates the subpower of pair-tables seeded with (proj_u, proj_v) for
-    each deduplicated condition-graph edge; Satisfied iff a pair with equal
-    coordinates appears.  The witness term is rebuilt from provenance and
-    re-verified before being returned.  Honest resource outcomes: raises
-    ExponentCap if size^|variables| exceeds max_entries, and returns
-    ResourceExceeded when the element cap is hit.
+    columns maps each variable to its projection column.  Items are pairs of
+    interned table ids; each seed is tagged ("pos", first position of its
+    edge), each generated pair (op name, argument pairs).
     """
-    n = len(c.variables)
-    rows = a.size ** n
-    if rows > max_entries:
-        raise ExponentCap(
-            f"free-algebra tables need {rows} entries, cap is {max_entries}")
-
     tables: list[tuple[int, ...]] = []
     table_id: dict[tuple[int, ...], int] = {}
 
@@ -384,7 +407,7 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
         tables.append(table)
         return len(tables) - 1
 
-    proj_id = {v: intern(p) for v, p in zip(c.variables, _projections(a.size, n))}
+    proj_id = {v: intern(columns[v]) for v in c.variables}
     compose_memo: dict[tuple, int] = {}
 
     def compose(op_idx: int, op: Operation, ids: tuple[int, ...]) -> int:
@@ -392,7 +415,7 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
         got = compose_memo.get(key)
         if got is None:
             got = compose_memo[key] = intern(
-                _apply_columns(op, a.size, [tables[i] for i in ids], rows))
+                _apply_columns(op, a.size, [tables[i] for i in ids], length))
         return got
 
     def pairwise(op_idx: int, op: Operation):
@@ -405,21 +428,62 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
     ops = [(op.name, op.arity, pairwise(i, op))
            for i, op in enumerate(a.operations)]
 
-    # one generator per deduplicated edge, tagged with its first position
     first: dict[tuple[str, str], int] = {}
     for pos, edge in enumerate(zip(c.lhs, c.rhs)):
         first.setdefault(edge, pos)
     seeds = [((proj_id[u], proj_id[v]), ("pos", pos)) for (u, v), pos in first.items()]
+    return _close(seeds, ops, cap, stop=lambda pair: pair[0] == pair[1])
 
-    res = _close(seeds, ops, max_elements, stop=lambda pair: pair[0] == pair[1])
-    if res.found is not None:
+
+def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
+                        max_entries: int = DEFAULT_MAX_ENTRIES,
+                        max_elements: int = DEFAULT_MAX_ELEMENTS) -> Decision:
+    """Decide whether the algebra has a term satisfying the identity.
+
+    The condition holds iff the subpower of pair-tables over the
+    size^|variables| rows generated by (proj_u, proj_v), one per
+    deduplicated condition-graph edge, holds a pair with equal coordinates.
+    That closure is computed on a row subset R, which starts empty:
+
+    - no equal pair on R: NotSatisfied, since the closure projected onto R
+      is the closure of the projected generators, and an equal pair over
+      all rows would project to one on R;
+    - an equal pair on R: its provenance is replayed into a term, whose two
+      sides are compared over all rows.  If they agree the term is the
+      witness; otherwise the first max(1, |R|) rows where they differ (all,
+      if fewer) join R, none of them in R as the sides agree there, and
+      the closure is redone.
+
+    Taking up to |R| rows lets R double per round, so when candidates keep
+    failing, few rounds redo a large closure.  R grows to all rows at most,
+    where the closure is the full one.
+
+    Honest resource outcomes: raises ExponentCap if size^|variables| exceeds
+    max_entries, and returns ResourceExceeded when the closure on R passes
+    max_elements.  Its elements_generated counts that closure, which is
+    never larger than the full one.
+    """
+    n = len(c.variables)
+    rows = a.size ** n
+    if rows > max_entries:
+        raise ExponentCap(
+            f"free-algebra tables need {rows} entries, cap is {max_entries}")
+
+    full = dict(zip(c.variables, _projections(a.size, n)))
+    subset: list[int] = []
+    while True:
+        columns = {v: tuple(map(col.__getitem__, subset)) for v, col in full.items()}
+        res = _close_pairs(a, c, columns, len(subset), max_elements)
+        if res.found is None:
+            return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
         term = _term_from_provenance(res.found, res.provenance)
-        if not verify_witness(a, c, term):
-            raise AssertionError("extracted witness failed verification")
-        return Satisfied(term)
-    if res.complete:
-        return NotSatisfied()
-    return ResourceExceeded(len(res.items))
+        differ = _differing_rows(a, c, term)
+        if not differ:
+            return Satisfied(term)
+        if not set(differ).isdisjoint(subset):
+            raise AssertionError("extracted witness differs on a row it was closed over")
+        for row in differ[:max(1, len(subset))]:
+            insort(subset, row)
 
 
 # ---------------------------------------------------------------------------

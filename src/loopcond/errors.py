@@ -66,3 +66,11 @@ class BadTerm(LoopcondError):
 
 class AlgebraFormatError(LoopcondError):
     """Algebra JSON is not an object of the documented shape and types."""
+
+
+class GraphFormatError(LoopcondError):
+    """Graph JSON is not an object of the documented shape and types."""
+
+
+class GadgetFormatError(LoopcondError):
+    """Gadget JSON is not an object of the documented shape and types."""

@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BudgetExceeded, NotSymmetric, NotWeaklyConnected
+from .errors import BudgetExceeded, GraphFormatError, NotSymmetric, NotWeaklyConnected
 
 Edge = tuple[int, int]
 
@@ -448,6 +448,31 @@ def graph_to_json(g: DiGraph) -> str:
     return json.dumps(graph_to_json_dict(g), sort_keys=True)
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key], if obj is a JSON object and type(value) is kind (bool is not int)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if type(value) is not kind:
+        raise ValueError(f"expected an object with {kind.__name__} {key!r}")
+    return value
+
+
+def _ints(value, length: int | None = None) -> tuple[int, ...]:
+    """value as a tuple, if it is a JSON list of ints (bool is not int) of the
+    given length."""
+    if type(value) is not list or any(type(x) is not int for x in value) \
+            or length is not None and len(value) != length:
+        raise ValueError("expected a list of "
+                         + ("ints" if length is None else f"{length} ints"))
+    return tuple(value)
+
+
 def graph_from_json(text: str) -> DiGraph:
-    data = json.loads(text)
-    return DiGraph.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
+    """Read the graph JSON format strictly: an object with int `n` and a
+    list `edges` of [a, b] int pairs in range(n).  Raises GraphFormatError
+    for anything else."""
+    try:
+        data = json.loads(text)
+        return DiGraph.from_edges(_field(data, "n", int),
+                                  [_ints(e, 2) for e in _field(data, "edges", list)])
+    except ValueError as exc:
+        raise GraphFormatError(f"bad graph JSON: {exc}") from None

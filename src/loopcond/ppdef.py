@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ArityNotDivisible, SlotMismatch
-from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _network
+from .errors import ArityNotDivisible, GadgetFormatError, SlotMismatch
+from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _field, _ints, _network
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,18 @@ def gadget_to_json(g: Gadget) -> str:
 
 
 def gadget_from_json(text: str) -> Gadget:
-    data = json.loads(text)
-    return Gadget(int(data["vertices"]),
-                  tuple(tuple(e) for e in data["edges"]),
-                  tuple(data["distinguished"]),
-                  int(data["slots"]))
+    """Read the gadget JSON format strictly: an object with int `vertices`,
+    a list `edges` of [slot, a, b] int triples, an int list `distinguished`
+    and int `slots`, every vertex in range(vertices) and every slot in
+    range(slots).  Raises GadgetFormatError for anything else."""
+    try:
+        data = json.loads(text)
+        return Gadget(_field(data, "vertices", int),
+                      tuple(_ints(e, 3) for e in _field(data, "edges", list)),
+                      _ints(_field(data, "distinguished", list)),
+                      _field(data, "slots", int))
+    except ValueError as exc:
+        raise GadgetFormatError(f"bad gadget JSON: {exc}") from None
 
 
 def _gadget_network(gadget: Gadget,

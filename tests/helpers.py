@@ -6,7 +6,7 @@ enumeration of maps, naive fixpoints, and dynamic programming over walks.
 
 from itertools import permutations, product
 
-from loopcond import DiGraph, Gadget, Relation, Var, find_embedding
+from loopcond import DiGraph, Gadget, Relation, Var, find_embedding, generate_subpower
 
 
 def all_homomorphisms(g: DiGraph, h: DiGraph) -> list[tuple[int, ...]]:
@@ -89,6 +89,24 @@ def witness_holds_brute(algebra, c, t) -> bool:
                 term_value_brute(algebra, t, tuple(value[v] for v in c.rhs)):
             return False
     return True
+
+
+def decide_by_subpower(algebra, c, cap: int) -> str | None:
+    """The decision kind, "Satisfied" or "NotSatisfied", without rows refined.
+
+    Closes the tuples proj_u ++ proj_v, one per position of c, in
+    A^(2 * size^n) with generate_subpower; c holds iff some element's two
+    halves are equal.  None if the cap is hit before such an element shows.
+    generate_subpower refines no rows and interns no tables, and is itself
+    checked against subpower_brute.
+    """
+    rows = list(product(range(algebra.size), repeat=len(c.variables)))
+    proj = {v: tuple(row[j] for row in rows) for j, v in enumerate(c.variables)}
+    res = generate_subpower(algebra, 2 * len(rows),
+                            [proj[u] + proj[v] for u, v in zip(c.lhs, c.rhs)], cap=cap)
+    if any(t[:len(rows)] == t[len(rows):] for t in res.relation.tuples):
+        return "Satisfied"
+    return "NotSatisfied" if res.complete else None
 
 
 def isomorphic(g: DiGraph, h: DiGraph) -> bool:

@@ -15,6 +15,7 @@ from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
                       is_compatible, mod_affine_algebra, parse_condition,
                       projection_algebra, satisfies_condition, term_to_string,
                       verify_witness)
+from loopcond.algebra import _term_from_provenance
 
 Z2 = mod_affine_algebra(2)  # x + y - z == x + y + z mod 2
 Z3 = mod_affine_algebra(3)
@@ -353,6 +354,24 @@ def test_shared_dag_term_is_evaluated_once_per_subterm() -> None:
     assert evaluate_term(Z2, term, (0, 1)) == 1  # m(t,t,y) = y over Z2
     assert not verify_witness(Z2, COMMUT, term)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_deep_term_renders_and_replays_without_recursion() -> None:
+    # 3000 levels of m(t,x2,x2): past the default recursion limit
+    depth = 3000
+    provenance = {"x": ("pos", 0), "y": ("pos", 1)}
+    term, item = Var(0), "x"
+    for level in range(depth):
+        provenance[level] = ("m", (item, "y", "y"))
+        term, item = App("m", (term, Var(1), Var(1))), level
+    text = term_to_string(term)
+    assert text == "m(" * depth + "x1" + ",x2,x2)" * depth
+    rebuilt = _term_from_provenance(item, provenance)
+    assert term_to_string(rebuilt) == text  # == on Apps would recurse
+    assert rebuilt.args[1] is rebuilt.args[2]  # one Term per provenance item
+    # m(t,y,y) = t over Z2, so the term is x1 and commutativity fails
+    assert evaluate_term(Z2, rebuilt, (1, 0)) == 1
+    assert not verify_witness(Z2, COMMUT, rebuilt)
 
 
 def test_term_rendering_and_evaluation() -> None:

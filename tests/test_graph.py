@@ -4,7 +4,7 @@ import pytest
 
 from helpers import (all_homomorphisms, embedding_exists_brute, hom_exists_brute,
                      isomorphic, odd_girth_brute)
-from loopcond import (BudgetExceeded, DiGraph, NotSymmetric, NotWeaklyConnected,
+from loopcond import (BudgetExceeded, DiGraph, GraphFormatError, NotSymmetric, NotWeaklyConnected,
                       SIGGERS_IDENTITY, algebraic_length, clique, condition_graph,
                       cycle, directed_cycle, find_embedding, find_hom,
                       graph_from_json, graph_to_json, has_loop, is_bipartite,
@@ -215,6 +215,25 @@ def test_json_roundtrip() -> None:
     for g in (cycle(5), directed_cycle(3), petersen()):
         assert graph_from_json(graph_to_json(g)).edges == g.edges
     assert graph_to_json(cycle(2)) == '{"edges": [[0, 1], [1, 0]], "n": 2}'
+
+
+@pytest.mark.parametrize("text", [
+    'not json', '[]', '{"edges": []}', '{"n": 2}',
+    '{"n": 1.5, "edges": []}', '{"n": true, "edges": []}', '{"n": "2", "edges": []}',
+    '{"n": -1, "edges": []}', '{"n": 2, "edges": {}}', '{"n": 2, "edges": [[0]]}',
+    '{"n": 2, "edges": [[0, 1, 1]]}', '{"n": 2, "edges": [[0, 1.0]]}',
+    '{"n": 2, "edges": [[0, false]]}', '{"n": 2, "edges": [[0, 2]]}',
+    '{"n": 2, "edges": [[-1, 0]]}', '{"n": 2, "edges": [7]}',
+])
+def test_graph_from_json_rejects_malformed(text) -> None:
+    with pytest.raises(GraphFormatError, match="^bad graph JSON: "):
+        graph_from_json(text)
+
+
+def test_graph_from_json_names_the_edge_shape() -> None:
+    for edge in ("[0]", "[0, 1, 1]"):
+        with pytest.raises(GraphFormatError, match="a list of 2 ints$"):
+            graph_from_json(f'{{"n": 2, "edges": [{edge}]}}')
 
 
 def test_graph_validation() -> None:

@@ -1,11 +1,12 @@
+import json
 import random
 from itertools import product
 
 import pytest
 
 from helpers import evaluate_brute
-from loopcond import (ArityNotDivisible, DiGraph, Gadget, Relation, SlotMismatch,
-                      cycle, evaluate, gadget_from_json, gadget_to_json,
+from loopcond import (ArityNotDivisible, DiGraph, Gadget, GadgetFormatError, Relation,
+                      SlotMismatch, cycle, evaluate, gadget_from_json, gadget_to_json,
                       graph_to_relation, pp_flatten, pp_power, relation_to_graph,
                       walk_gadget, witness)
 
@@ -171,6 +172,44 @@ def test_gadget_json_roundtrip() -> None:
     text = gadget_to_json(Gadget(2, ((0, 0, 1),), (0, 1), 1))
     assert text == ('{"distinguished": [0, 1], "edges": [[0, 0, 1]], '
                     '"slots": 1, "vertices": 2}')
+
+
+GOOD_GADGET = {"vertices": 3, "edges": [[0, 0, 1], [1, 1, 2]],
+               "distinguished": [0, 2, 0], "slots": 2}
+
+
+@pytest.mark.parametrize("change", [
+    {"vertices": None}, {"edges": None}, {"distinguished": None}, {"slots": None},
+    {"vertices": 3.0}, {"vertices": True}, {"vertices": "3"}, {"vertices": -1},
+    {"slots": 2.5}, {"slots": False},
+    {"edges": {}}, {"edges": [[0, 1]]}, {"edges": [[0, 0, 1, 2]]}, {"edges": [5]},
+    {"edges": [[0, 0, 1.0]]}, {"edges": [[True, 0, 1]]},
+    {"edges": [[2, 0, 1]]}, {"edges": [[-1, 0, 1]]}, {"edges": [[0, 0, 3]]},
+    {"edges": [[0, -1, 0]]},
+    {"distinguished": 0}, {"distinguished": [0, 1.0]}, {"distinguished": [3]},
+    {"distinguished": [-1]},
+])
+def test_gadget_from_json_rejects_malformed(change) -> None:
+    data = {k: v for k, v in {**GOOD_GADGET, **change}.items() if v is not None}
+    with pytest.raises(GadgetFormatError, match="^bad gadget JSON: "):
+        gadget_from_json(json.dumps(data))
+
+
+def test_gadget_from_json_names_the_edge_shape() -> None:
+    for edge in ([0, 1], [0, 0, 1, 2]):
+        with pytest.raises(GadgetFormatError, match="a list of 3 ints$"):
+            gadget_from_json(json.dumps({**GOOD_GADGET, "edges": [edge]}))
+
+
+@pytest.mark.parametrize("text", ["not json", "[]", "3"])
+def test_gadget_from_json_rejects_non_objects(text) -> None:
+    with pytest.raises(GadgetFormatError, match="^bad gadget JSON: "):
+        gadget_from_json(text)
+
+
+def test_gadget_from_json_accepts_the_documented_format() -> None:
+    assert gadget_from_json(json.dumps(GOOD_GADGET)) == \
+        Gadget(3, ((0, 0, 1), (1, 1, 2)), (0, 2, 0), 2)
 
 
 def test_gadget_validation() -> None:

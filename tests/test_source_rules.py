@@ -6,12 +6,30 @@ from pathlib import Path
 import loopcond
 
 
-def test_package_has_no_assert_statements() -> None:
-    # python -O strips assert statements, and soundness checks must survive it
+def _trees() -> list[tuple[str, ast.AST]]:
     sources = sorted(Path(loopcond.__file__).parent.glob("*.py"))
     assert sources
-    found = [f"{path.name}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    return [(path.name, ast.parse(path.read_text(), filename=str(path)))
+            for path in sources]
+
+
+def test_package_has_no_assert_statements() -> None:
+    # python -O strips assert statements, and soundness checks must survive it
+    found = [f"{name}:{node.lineno}"
+             for name, tree in _trees()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_has_no_self_calling_functions() -> None:
+    # recursion depth grows with the input, so deep terms or graphs would end
+    # in RecursionError; walks keep explicit stacks instead
+    found = [f"{name}:{fn.lineno} {fn.name}"
+             for name, tree in _trees()
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == fn.name]
     assert found == []
