@@ -8,6 +8,12 @@ run on a subset R of the A^n rows, which starts empty: a closure on R
 without a diagonal pair refutes the condition, and a diagonal pair on R is
 replayed from provenance into a candidate term, which is checked on all rows
 and either returned or refuted by rows that then join R.
+
+The closure engine `_close` enumerates argument combinations as tuples of
+items, and the pair closure interns tables by content: a pair is two table
+ids, and each operation keeps one memo from a tuple of argument table ids to
+the id of the composed table, so a combination whose tables were composed
+before costs two dictionary lookups.
 """
 
 from __future__ import annotations
@@ -125,18 +131,69 @@ class Var:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class App:
+    """An operation applied to argument terms.
+
+    Equality, hashing and repr are structural, like a dataclass's, but walk
+    the term with explicit stacks, so terms of any depth compare and print;
+    shared subterms are compared and hashed once.
+    """
+
     op: str
     args: tuple["Term", ...]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not App:
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack: list = [(self, other)]
+        while stack:
+            s, t = stack.pop()
+            if s is t or (id(s), id(t)) in seen:
+                continue
+            seen.add((id(s), id(t)))
+            if type(s) is not type(t):
+                return False
+            if type(s) is not App:
+                if s != t:
+                    return False
+            elif s.op != t.op or len(s.args) != len(t.args):
+                return False
+            else:
+                stack += zip(s.args, t.args)
+        return True
+
+    def __hash__(self) -> int:
+        done: dict[int, int] = {}
+        stack: list = [self]
+        while stack:
+            s = stack.pop()
+            if id(s) in done:
+                continue
+            if type(s) is not App:
+                done[id(s)] = hash(s)
+                continue
+            pending = [u for u in s.args if id(u) not in done]
+            if pending:
+                stack += [s, *pending]
+            else:
+                done[id(s)] = hash((s.op, tuple(done[id(u)] for u in s.args)))
+        return done[id(self)]
+
+    def __repr__(self) -> str:
+        return _render(self, repr, lambda s: f"App(op={s.op!r}, args=(", ", ",
+                       lambda s: ",))" if len(s.args) == 1 else "))")
 
 
 Term = Union[Var, App]
 
 
-def term_to_string(t: Term) -> str:
-    """`x1` for Var(0), `op(s1,..,sk)` for an application; walks the term
-    with an explicit stack, so any depth renders."""
+def _render(t: Term, leaf: Callable, opening: Callable, sep: str,
+            closing: Callable) -> str:
+    """Text of t: leaf(v) for a Var; for an App s, opening(s), the arguments'
+    texts joined by sep, then closing(s).  Walks with an explicit stack, so
+    any depth renders."""
     out: list[str] = []
     stack: list = [t]
     while stack:
@@ -144,15 +201,21 @@ def term_to_string(t: Term) -> str:
         if isinstance(s, str):
             out.append(s)
         elif isinstance(s, Var):
-            out.append(f"x{s.index + 1}")
+            out.append(leaf(s))
         else:
-            out.append(f"{s.op}(")
-            stack.append(")")
+            out.append(opening(s))
+            stack.append(closing(s))
             for i in range(len(s.args) - 1, -1, -1):
                 stack.append(s.args[i])
                 if i:
-                    stack.append(",")
+                    stack.append(sep)
     return "".join(out)
+
+
+def term_to_string(t: Term) -> str:
+    """`x1` for Var(0), `op(s1,..,sk)` for an application, at any depth."""
+    return _render(t, lambda v: f"x{v.index + 1}", lambda s: f"{s.op}(", ",",
+                   lambda s: ")")
 
 
 def _apply_columns(op: Operation, size: int, cols, length: int) -> tuple[int, ...]:
@@ -206,20 +269,27 @@ def evaluate_term(a: FiniteAlgebra, t: Term, args: tuple[int, ...]) -> int:
 
 
 def _projections(size: int, n: int) -> list[tuple[int, ...]]:
-    """The n projection tables over all size^n rows, last variable fastest."""
-    rows = list(product(range(size), repeat=n))
-    return [tuple(row[j] for row in rows) for j in range(n)]
+    """The n projection tables over all size^n rows, last variable fastest:
+    column j runs through range(size), each value size^(n-1-j) times in a
+    row, size^j times over."""
+    return [sum(((x,) * size ** (n - 1 - j) for x in range(size)), ()) * size ** j
+            for j in range(n)]
 
 
-def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term) -> list[int]:
+def _variable_columns(a: FiniteAlgebra, c: LoopCondition) -> dict[str, tuple[int, ...]]:
+    """Each variable of c mapped to its projection table over all rows."""
+    return dict(zip(c.variables, _projections(a.size, len(c.variables))))
+
+
+def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term,
+                    proj: dict[str, tuple[int, ...]]) -> list[int]:
     """The rows (assignments of the condition's variables, last variable
     fastest, in that order) where t(u1..un) and t(v1..vn) differ.
 
-    Composes the table of each side over all size^|variables| rows, once per
-    distinct subterm, and compares the two.  Raises BadTerm for structurally
-    invalid terms.
+    proj is _variable_columns(a, c).  Composes the table of each side over
+    all size^|variables| rows, once per distinct subterm, and compares the
+    two.  Raises BadTerm for structurally invalid terms.
     """
-    proj = dict(zip(c.variables, _projections(a.size, len(c.variables))))
     length = a.size ** len(c.variables)
     left = _term_column(a, t, [proj[u] for u in c.lhs], length)
     right = _term_column(a, t, [proj[v] for v in c.rhs], length)
@@ -232,7 +302,7 @@ def verify_witness(a: FiniteAlgebra, c: LoopCondition, t: Term) -> bool:
     """Check t(u1..un) = t(v1..vn) as functions of the condition's variables,
     over all size^|variables| assignments.  Raises BadTerm for structurally
     invalid terms."""
-    return not _differing_rows(a, c, t)
+    return not _differing_rows(a, c, t, _variable_columns(a, c))
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +345,18 @@ def _close(seeds, ops, cap: int, stop: Callable | None = None) -> _Closure:
         for name, arity, fn in ops:
             if arity == 0:
                 yield fn(()), (name, ())
+        # older items are only paired with the newest by ops of arity > 1;
+        # slicing them for unary ops alone would cost O(t) per item
+        wide = any(arity > 1 for _, arity, _ in ops)
         t = 0
         while t < len(items):
+            # combinations over items[0..t] containing items[t], grouped by
+            # the position of its first occurrence
+            newest = items[t:t + 1]
+            before, upto = (items[:t], items[:t + 1]) if wide else ([], [])
             for name, arity, fn in ops:
-                # combinations over items[0..t] containing index t, grouped by
-                # the position of the first occurrence of t
                 for p in range(arity):
-                    pools = [range(t)] * p + [range(t, t + 1)] + \
-                            [range(t + 1)] * (arity - 1 - p)
-                    for combo in product(*pools):
-                        args = tuple(items[i] for i in combo)
+                    for args in product(*[before] * p, newest, *[upto] * (arity - 1 - p)):
                         yield fn(args), (name, args)
             t += 1
 
@@ -408,25 +480,23 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
         return len(tables) - 1
 
     proj_id = {v: intern(columns[v]) for v in c.variables}
-    compose_memo: dict[tuple, int] = {}
 
-    def compose(op_idx: int, op: Operation, ids: tuple[int, ...]) -> int:
-        key = (op_idx, *ids)
-        got = compose_memo.get(key)
-        if got is None:
-            got = compose_memo[key] = intern(
-                _apply_columns(op, a.size, [tables[i] for i in ids], length))
-        return got
+    def pairwise(op: Operation):
+        memo: dict[tuple[int, ...], int] = {}  # argument table ids -> table id
 
-    def pairwise(op_idx: int, op: Operation):
+        def compose(ids: tuple[int, ...]) -> int:
+            got = memo.get(ids)
+            if got is None:
+                got = memo[ids] = intern(
+                    _apply_columns(op, a.size, [tables[i] for i in ids], length))
+            return got
+
         def fn(args):
-            left = compose(op_idx, op, tuple(p[0] for p in args))
-            right = compose(op_idx, op, tuple(p[1] for p in args))
-            return (left, right)
+            left, right = zip(*args) if args else ((), ())
+            return compose(left), compose(right)
         return fn
 
-    ops = [(op.name, op.arity, pairwise(i, op))
-           for i, op in enumerate(a.operations)]
+    ops = [(op.name, op.arity, pairwise(op)) for op in a.operations]
 
     first: dict[tuple[str, str], int] = {}
     for pos, edge in enumerate(zip(c.lhs, c.rhs)):
@@ -469,7 +539,7 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
         raise ExponentCap(
             f"free-algebra tables need {rows} entries, cap is {max_entries}")
 
-    full = dict(zip(c.variables, _projections(a.size, n)))
+    full = _variable_columns(a, c)
     subset: list[int] = []
     while True:
         columns = {v: tuple(map(col.__getitem__, subset)) for v, col in full.items()}
@@ -477,7 +547,7 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
         if res.found is None:
             return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
         term = _term_from_provenance(res.found, res.provenance)
-        differ = _differing_rows(a, c, term)
+        differ = _differing_rows(a, c, term, full)
         if not differ:
             return Satisfied(term)
         if not set(differ).isdisjoint(subset):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive answer, 1 for a negative mathematical answer
 (no homomorphism found, condition not satisfied, a verification check
-failed), 2 for usage or resource errors.
+failed), 2 for usage or resource errors, 3 for an internal error: a
+soundness check found that a solver's answer does not check out.
 """
 
 from __future__ import annotations
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

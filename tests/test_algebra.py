@@ -367,11 +367,32 @@ def test_deep_term_renders_and_replays_without_recursion() -> None:
     text = term_to_string(term)
     assert text == "m(" * depth + "x1" + ",x2,x2)" * depth
     rebuilt = _term_from_provenance(item, provenance)
-    assert term_to_string(rebuilt) == text  # == on Apps would recurse
+    assert term_to_string(rebuilt) == text
     assert rebuilt.args[1] is rebuilt.args[2]  # one Term per provenance item
     # m(t,y,y) = t over Z2, so the term is x1 and commutativity fails
     assert evaluate_term(Z2, rebuilt, (1, 0)) == 1
     assert not verify_witness(Z2, COMMUT, rebuilt)
+
+
+def test_deep_terms_compare_hash_and_repr_without_recursion() -> None:
+    def nested(depth: int, leaf: int) -> App:
+        term = Var(leaf)
+        for _ in range(depth):
+            term = App("m", (term, Var(1), Var(1)))
+        return term
+
+    first, second = Satisfied(nested(3000, 0)), Satisfied(nested(3000, 0))
+    assert first.term is not second.term
+    assert first == second and hash(first) == hash(second)
+    assert first != Satisfied(nested(3000, 1))
+    assert first != Satisfied(nested(2999, 0))
+    assert repr(first) == repr(second) == "Satisfied(term=" + \
+        "App(op='m', args=(" * 3000 + "Var(index=0)" + \
+        ", Var(index=1), Var(index=1)))" * 3000 + ")"
+    # the dataclass repr format, including one-argument and nullary tuples
+    assert repr(App("f", (Var(0),))) == "App(op='f', args=(Var(index=0),))"
+    assert repr(App("c", ())) == "App(op='c', args=())"
+    assert App("c", ()) != Var(0) and Var(0) != App("c", ())
 
 
 def test_term_rendering_and_evaluation() -> None:

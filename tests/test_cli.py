@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -186,3 +187,25 @@ def test_json_outputs_are_deterministic(z2_file, capsys) -> None:
               "--affine", "2", "--json"])
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def _bogus_search(domains, arcs, order, budget, **kwargs):
+    yield (0,) * len(order)  # maps every vertex to 0: no witness on loopless targets
+
+
+@pytest.mark.parametrize("module, name, replacement, argv", [
+    # a differing row already in R trips the refinement loop's own check
+    ("algebra", "_differing_rows", lambda a, c, t, proj: [0],
+     ["satisfies", "--algebra", None, SIGGERS_IDENTITY]),
+    # a map that is not a homomorphism trips find_hom's re-check
+    ("graph", "_arc_search", _bogus_search, ["implies", "t(x,y)=t(y,x)", "t(x,y)=t(y,x)"]),
+    ("graph", "_arc_search", _bogus_search, ["verify", "--cycle-k", "5"]),
+], ids=["satisfies", "implies", "verify"])
+def test_failed_soundness_check_exits_3(monkeypatch, capsys, z2_file,
+                                        module, name, replacement, argv) -> None:
+    monkeypatch.setattr(importlib.import_module(f"loopcond.{module}"), name, replacement)
+    argv = [z2_file if a is None else a for a in argv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "Traceback" not in captured.err
