@@ -559,14 +559,34 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
 # ---------------------------------------------------------------------------
 # affine fast path
 
+#: Miller-Rabin with the primes 2..41 as bases is exact below this bound
+#: (Sorenson and Webster, Math. Comp. 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BASES_BOUND = 3317044064679887385961981
+
+
 def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above the proven bound."""
+    if m >= _PRIME_BASES_BOUND:
+        raise ValueError("modulus too large for the deterministic primality test")
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for p in _PRIME_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -607,7 +627,8 @@ def affine_satisfies(m: int, c: LoopCondition) -> tuple[int, ...] | None:
     The term clone of (Z_m, x+y-z) is exactly the maps sum(c_i x_i) with
     sum(c_i) = 1 (mod m), so the condition holds there iff some such vector
     balances each variable's left and right occurrences.  Prime moduli are
-    solved by elimination, composite ones by exhaustive search.
+    solved by elimination, composite ones by exhaustive search; moduli
+    from about 3.3e24 up raise ValueError.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")

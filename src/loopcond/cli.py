@@ -62,15 +62,13 @@ def _cmd_implies(args) -> int:
     c = ident.parse_condition(args.identity)
     d = ident.parse_condition(args.other)
     hom = implies_by_hom(c, d, budget=args.budget)
-    gc = ident.condition_graph(c)
-    gd = ident.condition_graph(d)
     if args.json:
         payload = {"found": hom is not None,
-                   "map": {gc.label(i): gd.label(v)
+                   "map": {hom.source.label(i): hom.target.label(v)
                            for i, v in enumerate(hom.mapping)} if hom else None}
         print(_dumps(payload))
     elif hom is not None:
-        assignment = ", ".join(f"{gc.label(i)}->{gd.label(v)}"
+        assignment = ", ".join(f"{hom.source.label(i)}->{hom.target.label(v)}"
                                for i, v in enumerate(hom.mapping))
         print(f"implication witnessed by homomorphism: {assignment}")
     else:
@@ -244,10 +242,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except LoopcondError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (LoopcondError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -1,14 +1,17 @@
 """Gadget constructions behind the cycle and clique reductions, verified by
-brute force on small instances, with machine-checkable reports."""
+brute force on small instances, with machine-checkable reports.
+
+`verify_clique_claims` evaluates R on K_n, R on K_{n+1} and S once each,
+and derives F and Q from those relations."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .errors import NotSymmetric, SizeCap
-from .graph import DiGraph, clique, cycle, find_hom, has_loop, is_symmetric
+from .graph import DiGraph, clique, cycle, find_hom, is_symmetric
 from .ppdef import Gadget, Relation, evaluate, pp_power, relation_to_graph, witness
 
 
@@ -133,36 +136,34 @@ def clique_s_gadget(n: int) -> Gadget:
     return Gadget(next_free, tuple(edges), (u1, u2, v1, v2), 2)
 
 
-def _require_symmetric(g: DiGraph) -> None:
+def clique_R(g: DiGraph, n: int) -> Relation:
+    """The 4-ary relation R evaluated over a symmetric graph."""
     if not is_symmetric(g):
         raise NotSymmetric("clique constructions expect a symmetric graph; "
                            "apply symmetric_part first")
-
-
-def clique_R(g: DiGraph, n: int) -> Relation:
-    """The 4-ary relation R evaluated over a symmetric graph."""
-    _require_symmetric(g)
     return evaluate(clique_r_gadget(n), [g])
+
+
+def _diagonal(r: Relation, g: DiGraph) -> DiGraph:
+    """F(x, y) iff R(u, u, x, y) for some u."""
+    return DiGraph(g.n, frozenset((x, y) for u, v, x, y in r.tuples if u == v), g.labels)
+
+
+def _pair_graph(g: DiGraph, f: DiGraph, n: int) -> DiGraph:
+    """S evaluated over g and F, its 4-ary result (u1,u2,v1,v2) regrouped as
+    a binary relation on pairs."""
+    return relation_to_graph(pp_power(evaluate(clique_s_gadget(n), [g, f]), 2))
 
 
 def clique_F(g: DiGraph, n: int) -> DiGraph:
     """F(x, y) iff R(u, u, x, y) for some u: diagonalize and project R."""
-    r = clique_R(g, n)
-    edges = frozenset((x, y) for u, v, x, y in r.tuples if u == v)
-    return DiGraph(g.n, edges, g.labels)
+    return _diagonal(clique_R(g, n), g)
 
 
 def clique_Q(g: DiGraph, n: int) -> DiGraph:
-    """The pair-level graph Q on universe |V|^2, with (a, b) coded a*|V|+b.
-
-    Built by evaluating the S pattern over the base graph and the computed F,
-    then regrouping the 4-ary result (u1,u2,v1,v2) as a binary relation on
-    pairs.
-    """
-    _require_symmetric(g)
-    f = clique_F(g, n)
-    s = evaluate(clique_s_gadget(n), [g, f])
-    return relation_to_graph(pp_power(s, 2))
+    """The pair-level graph Q on universe |V|^2, with (a, b) coded a*|V|+b:
+    the S pattern evaluated over the base graph and the computed F."""
+    return _pair_graph(g, clique_F(g, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +199,9 @@ def verify_cycle_reduction(k: int, *, size_cap: int = 2500) -> Report:
     return Report(tuple(checks))
 
 
-def _first_counterexample(pred, candidates):
-    for c in candidates:
-        if not pred(c):
-            return c
-    return None
+def _missing(candidates, present) -> list | None:
+    """The first candidate not in `present`, as a list, or None."""
+    return next((list(c) for c in candidates if c not in present), None)
 
 
 def verify_clique_claims(n: int, *, max_n: int = 4) -> Report:
@@ -218,50 +217,32 @@ def verify_clique_claims(n: int, *, max_n: int = 4) -> Report:
         raise ValueError("clique claims need n >= 3")
     if n > max_n:
         raise SizeCap(f"n = {n} exceeds the configured cap {max_n}")
-    g = clique(n)
+    g, bigger = clique(n), clique(n + 1)
     verts = range(n)
-    r = clique_R(g, n)
-    f = clique_F(g, n)
-    checks = []
-
-    bad_a = _first_counterexample(
-        lambda t: t in r.tuples,
-        [(u, v, x, x) for u, v, x in product(verts, repeat=3) if u != v and x != v])
-    checks.append(Check("r_case_a_sufficient", bad_a is None,
-                        None if bad_a is None else list(bad_a)))
-    bad_b = _first_counterexample(
-        lambda t: t in r.tuples,
-        [(u, u, u, y) for u, y in product(verts, repeat=2) if y != u])
-    checks.append(Check("r_case_b_sufficient", bad_b is None,
-                        None if bad_b is None else list(bad_b)))
-
-    bad_f = _first_counterexample(
-        lambda e: e in f.edges,
-        [(x, y) for x, y in product(verts, repeat=2) if x != y])
-    checks.append(Check("f_complete_off_diagonal", bad_f is None,
-                        None if bad_f is None else list(bad_f)))
-    checks.append(Check("f_symmetric", is_symmetric(f)))
+    r, r2 = clique_R(g, n), clique_R(bigger, n)
+    f, f2 = _diagonal(r, g), _diagonal(r2, bigger)
+    q = _pair_graph(g, f, n)
+    bad_a = _missing([(u, v, x, x) for u, v, x in product(verts, repeat=3)
+                      if u != v and x != v], r.tuples)
+    bad_b = _missing([(u, u, u, y) for u, y in product(verts, repeat=2) if y != u],
+                     r.tuples)
+    bad_f = _missing([(x, y) for x, y in product(verts, repeat=2) if x != y], f.edges)
+    bad_q = _missing([(p, s) for p, s in product(range(n * n), repeat=2) if p != s],
+                     q.edges)
     f_loops = sorted(x for x, y in f.edges if x == y)
-    checks.append(Check("f_loopless_on_clique", not f_loops,
-                        None if not f_loops else f_loops))
-
-    q = clique_Q(g, n)
-    codes = range(n * n)
-    bad_q = _first_counterexample(
-        lambda e: e in q.edges,
-        [(p, qq) for p, qq in product(codes, repeat=2) if p != qq])
-    checks.append(Check("q_relates_all_distinct_pairs", bad_q is None,
-                        None if bad_q is None else list(bad_q)))
-    checks.append(Check("q_clique_size_reaches_target",
-                        bad_q is None and n * n >= n + 1,
-                        {"clique_size": n * n, "target": n + 1}))
-
-    bigger = clique(n + 1)
-    r2 = clique_R(bigger, n)
-    f2 = clique_F(bigger, n)
     f2_loops = sorted(x for x, y in f2.edges if x == y)
-    checks.append(Check("f_loop_on_larger_clique", bool(f2_loops),
-                        f2_loops[0] if f2_loops else None))
+    checks = [
+        Check("r_case_a_sufficient", bad_a is None, bad_a),
+        Check("r_case_b_sufficient", bad_b is None, bad_b),
+        Check("f_complete_off_diagonal", bad_f is None, bad_f),
+        Check("f_symmetric", is_symmetric(f)),
+        Check("f_loopless_on_clique", not f_loops, f_loops or None),
+        Check("q_relates_all_distinct_pairs", bad_q is None, bad_q),
+        Check("q_clique_size_reaches_target", bad_q is None and n * n >= n + 1,
+              {"clique_size": n * n, "target": n + 1}),
+        Check("f_loop_on_larger_clique", bool(f2_loops),
+              f2_loops[0] if f2_loops else None),
+    ]
 
     unfolded = None
     if f2_loops:
@@ -270,27 +251,22 @@ def verify_clique_claims(n: int, *, max_n: int = 4) -> Report:
         asg = witness(clique_r_gadget(n), [bigger], (u0, u0, x0, x0))
         members = sorted({asg[0], asg[2], asg[n + 2]}
                          | {asg[i] for i in range(4, n + 2)})
-        clique_ok = (len(members) == n + 1
-                     and all((a, b) in bigger.edges
-                             for a, b in combinations(members, 2)))
-        unfolded = members if clique_ok else None
+        if len(members) == n + 1 and all((a, b) in bigger.edges
+                                         for a, b in combinations(members, 2)):
+            unfolded = members
     checks.append(Check("f_loop_unfolds_to_larger_clique", unfolded is not None,
                         unfolded))
 
+    # xs are compared by index, not by value: F on K_{n+1} has loops
     s_gadget = clique_s_gadget(n)
-    q_loop = None
+    f_clique = None
     for a, b in product(range(n + 1), repeat=2):
         asg = witness(s_gadget, [bigger, f2], (a, b, a, b))
         if asg is not None:
-            q_loop = ((a, b), asg)
+            xs = list(asg[4:n + 5])
+            if all((xs[i], xs[j]) in f2.edges
+                   for i, j in permutations(range(n + 1), 2)):
+                f_clique = {"pair": [a, b], "elements": xs}
             break
-    f_clique = None
-    if q_loop is not None:
-        xs = [q_loop[1][4 + i] for i in range(n + 1)]
-        related = all((xs[i], xs[j]) in f2.edges
-                      for i in range(n + 1) for j in range(n + 1) if i != j)
-        f_clique = xs if related else None
-    checks.append(Check("q_loop_unfolds_to_f_clique", f_clique is not None,
-                        {"pair": list(q_loop[0]), "elements": f_clique}
-                        if f_clique is not None else None))
+    checks.append(Check("q_loop_unfolds_to_f_clique", f_clique is not None, f_clique))
     return Report(tuple(checks))

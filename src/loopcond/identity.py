@@ -75,10 +75,6 @@ def parse_condition(text: str) -> LoopCondition:
         raise ConditionSyntaxError(f"malformed argument list in {text!r}")
     if lsym != rsym:
         raise SymbolMismatch(f"function symbols differ: {lsym!r} vs {rsym!r}")
-    if not largs or not rargs:
-        raise EmptyArgs("identity sides must have at least one argument")
-    if len(largs) != len(rargs):
-        raise ArityMismatch(f"sides have {len(largs)} and {len(rargs)} arguments")
     return LoopCondition(lsym, tuple(largs), tuple(rargs))
 
 

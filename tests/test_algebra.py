@@ -15,7 +15,7 @@ from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
                       is_compatible, mod_affine_algebra, parse_condition,
                       projection_algebra, satisfies_condition, term_to_string,
                       verify_witness)
-from loopcond.algebra import _term_from_provenance
+from loopcond.algebra import _is_prime, _term_from_provenance
 
 Z2 = mod_affine_algebra(2)  # x + y - z == x + y + z mod 2
 Z3 = mod_affine_algebra(3)
@@ -252,6 +252,31 @@ def test_affine_satisfies_frozen_values() -> None:
     assert affine_satisfies(2, SIGGERS) == (1, 0, 1, 0, 1, 0)
     assert affine_satisfies(2, COMMUT) is None
     assert affine_satisfies(3, COMMUT) == (2, 2)
+
+
+def _is_prime_by_trial_division(m: int) -> bool:
+    return m >= 2 and all(m % d for d in range(2, int(m ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division() -> None:
+    assert [m for m in range(-3, 10**4) if _is_prime(m)] == \
+        [m for m in range(-3, 10**4) if _is_prime_by_trial_division(m)]
+
+
+def test_is_prime_on_large_moduli() -> None:
+    assert _is_prime(2**61 - 1)  # 19 digits
+    assert not _is_prime(1000000007 * 1000000009)  # 19 digits, two prime factors
+    # a strong pseudoprime to every prime base up to 37; base 41 exposes it
+    assert not _is_prime(399165290221 * 798330580441)
+    with pytest.raises(ValueError):
+        _is_prime(3317044064679887385961981)
+
+
+def test_affine_satisfies_with_large_prime_modulus() -> None:
+    p = 2**61 - 1
+    assert affine_satisfies(p, COMMUT) == ((p + 1) // 2, (p + 1) // 2)
+    with pytest.raises(ValueError):
+        affine_satisfies(10**25, COMMUT)
 
 
 def test_affine_solutions_really_balance() -> None:

@@ -71,6 +71,16 @@ def test_implies_exit_codes(capsys) -> None:
     assert json.loads(capsys.readouterr().out)["found"] is False
 
 
+def test_implies_prints_the_variable_map(capsys) -> None:
+    args = ["implies", "t(x,y,y)=t(y,x,z)", "t(a,b)=t(b,a)"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == \
+        "implication witnessed by homomorphism: x->a, y->b, z->a\n"
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "found": True, "map": {"x": "a", "y": "b", "z": "a"}}
+
+
 def test_satisfies_decisions(z2_file, capsys) -> None:
     assert main(["satisfies", "--algebra", z2_file, "t(x,y)=t(y,x)"]) == 1
     assert "NotSatisfied" in capsys.readouterr().out
@@ -116,6 +126,17 @@ def test_satisfies_affine_only(capsys) -> None:
     data = json.loads(capsys.readouterr().out)
     assert data["affine_coefficients"] == [2, 2]
     assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", "2"]) == 1
+
+
+def test_satisfies_affine_large_modulus(capsys) -> None:
+    assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", "2305843009213693951"]) == 0
+    assert capsys.readouterr().out == (
+        "affine mod 2305843009213693951: coefficients "
+        "(1152921504606846976,1152921504606846976)\n")
+    assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", str(10**25)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_satisfies_resource_errors(z2_file, capsys) -> None:

@@ -11,6 +11,7 @@ from loopcond import (DiGraph, NotSymmetric, Report, SizeCap, clique, clique_F,
                       has_loop, is_symmetric, report_to_json,
                       verify_clique_claims, verify_cycle_reduction, walk_gadget,
                       walk_relation)
+from loopcond import constructions
 from loopcond.constructions import clique_s_gadget
 
 
@@ -145,6 +146,32 @@ def test_verify_clique_claims_passes() -> None:
     report = verify_clique_claims(3)
     assert report.all_pass
     assert len(report.checks) == 10
+
+
+def test_verify_clique_claims_frozen_with_three_evaluations(monkeypatch) -> None:
+    # R on K_n, R on K_{n+1} and S: one evaluation each
+    frozen = {3: "ff9e45b56c5de27421779b4c17cdb60371661b9d7047049602be96a1a33616b1",
+              4: "c2824e28495939e9641e59728cf22ac41b99cf16cc32514c8ed4e0d3a31391fe",
+              5: "5c3c0f48e415ba61019773694905c31e79bbdfe4a5d87c45f4863b436f898b0d"}
+    calls = []
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "evaluate", counting_evaluate)
+    for n, digest in frozen.items():
+        calls.clear()
+        text = report_to_json(verify_clique_claims(n, max_n=5))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert len(calls) == 3
+
+
+def test_clique_q_rejects_asymmetric_input() -> None:
+    from loopcond import directed_cycle
+    with pytest.raises(NotSymmetric, match="^clique constructions expect a "
+                       "symmetric graph; apply symmetric_part first$"):
+        clique_Q(directed_cycle(3), 3)
 
 
 def test_verify_clique_claims_preconditions() -> None:

@@ -46,6 +46,19 @@ def test_parse_errors(text: str, exc) -> None:
         parse_condition(text)
 
 
+@pytest.mark.parametrize("text,exc,message", [
+    ("t(x,y)=t(y)", ArityMismatch, "sides have 2 and 1 arguments"),
+    ("t()=t(x)", EmptyArgs, "identity sides must have at least one argument"),
+    ("t(x)=t()", EmptyArgs, "identity sides must have at least one argument"),
+    ("t()=t(x,y,z)", EmptyArgs, "identity sides must have at least one argument"),
+    ("t(x,y)=s(y)", SymbolMismatch, "function symbols differ: 't' vs 's'"),
+])
+def test_parse_error_messages(text: str, exc, message: str) -> None:
+    with pytest.raises(exc) as info:
+        parse_condition(text)
+    assert str(info.value) == message
+
+
 def test_siggers_graph_is_symmetric_triangle() -> None:
     g = condition_graph(parse_condition(SIGGERS_IDENTITY))
     assert g.n == 3
