@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Union
 
 from .errors import AlgebraFormatError, BadTerm, ExponentCap, UniverseMismatch
-from .graph import _field
+from .graph import _decode, _field
 from .identity import LoopCondition
 from .ppdef import Relation
 
@@ -97,14 +97,12 @@ def algebra_from_json(text: str) -> FiniteAlgebra:
     a list of `operations`, each with str `name`, int `arity` and a list
     `table`.  Raises AlgebraFormatError for anything else, and for tables
     that FiniteAlgebra rejects (entries must be ints in range(size))."""
-    try:
-        data = json.loads(text)
+    def build(data) -> FiniteAlgebra:
         ops = tuple(Operation(_field(o, "name", str), _field(o, "arity", int),
                               tuple(_field(o, "table", list)))
                     for o in _field(data, "operations", list))
         return FiniteAlgebra(_field(data, "size", int), ops)
-    except ValueError as exc:
-        raise AlgebraFormatError(f"bad algebra JSON: {exc}") from None
+    return _decode(text, build, AlgebraFormatError, "algebra")
 
 
 def mod_affine_algebra(m: int) -> FiniteAlgebra:

@@ -1,5 +1,10 @@
 """Command-line interface.
 
+Each subcommand returns (exit code, payload, text): payload is the dict that
+--json prints, or None where the command has no JSON form (parse --dot, the
+usage errors), and text is the exact human-readable stdout.  Only main writes
+stdout; warnings and errors go to stderr.
+
 Exit codes: 0 for a positive answer, 1 for a negative mathematical answer
 (no homomorphism found, condition not satisfied, a verification check
 failed), 2 for usage or resource errors, 3 for an internal error: a
@@ -17,7 +22,7 @@ from . import algebra as alg
 from . import constructions as cons
 from . import graph as gr
 from . import identity as ident
-from .classify import classification_to_json_dict, classify, equivalence_note, implies_by_hom
+from .classify import classification_to_json_dict, classify, implies_by_hom
 from .errors import LoopcondError
 
 
@@ -25,130 +30,106 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _cmd_parse(args) -> int:
+# what every _cmd_* returns: exit code, --json payload or None, stdout text
+Result = tuple[int, dict | None, str]
+
+
+def _text(*lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _cmd_parse(args) -> Result:
     c = ident.parse_condition(args.identity)
     g = ident.condition_graph(c)
     if args.dot:
-        print(gr.to_dot(g), end="")
-        return 0
-    if args.json:
-        print(_dumps({
-            "condition": ident.print_condition(c),
-            "symbol": c.symbol,
-            "arity": c.arity,
-            "variables": list(c.variables),
-            "graph": gr.graph_to_json_dict(g),
-        }))
-        return 0
-    print(ident.print_condition(c))
-    print("variables:", " ".join(c.variables))
+        return 0, None, gr.to_dot(g)
+    condition = ident.print_condition(c)
     edges = " ".join(f"{g.label(a)}->{g.label(b)}" for a, b in g.sorted_edges())
-    print("edges:", edges)
-    return 0
+    return 0, {
+        "condition": condition,
+        "symbol": c.symbol,
+        "arity": c.arity,
+        "variables": list(c.variables),
+        "graph": gr.graph_to_json_dict(g),
+    }, _text(condition, f"variables: {' '.join(c.variables)}", f"edges: {edges}")
 
 
-def _cmd_classify(args) -> int:
-    c = ident.parse_condition(args.identity)
-    result = classify(c)
-    if args.json:
-        print(_dumps(classification_to_json_dict(result)))
-    else:
-        print(f"class: {result.kind.value}")
-        print(equivalence_note(result))
-    return 0
+def _cmd_classify(args) -> Result:
+    payload = classification_to_json_dict(classify(ident.parse_condition(args.identity)))
+    return 0, payload, _text(f"class: {payload['class']}", payload["note"])
 
 
-def _cmd_implies(args) -> int:
+def _cmd_implies(args) -> Result:
     c = ident.parse_condition(args.identity)
     d = ident.parse_condition(args.other)
     hom = implies_by_hom(c, d, budget=args.budget)
-    if args.json:
-        payload = {"found": hom is not None,
-                   "map": {hom.source.label(i): hom.target.label(v)
-                           for i, v in enumerate(hom.mapping)} if hom else None}
-        print(_dumps(payload))
-    elif hom is not None:
-        assignment = ", ".join(f"{hom.source.label(i)}->{hom.target.label(v)}"
-                               for i, v in enumerate(hom.mapping))
-        print(f"implication witnessed by homomorphism: {assignment}")
-    else:
-        print("not established: no graph homomorphism exists "
-              "(a reduction proof may still apply)")
-    return 0 if hom is not None else 1
+    if hom is None:
+        return 1, {"found": False, "map": None}, _text(
+            "not established: no graph homomorphism exists "
+            "(a reduction proof may still apply)")
+    pairs = [(hom.source.label(i), hom.target.label(v)) for i, v in enumerate(hom.mapping)]
+    assignment = ", ".join(f"{a}->{b}" for a, b in pairs)
+    return 0, {"found": True, "map": dict(pairs)}, _text(
+        f"implication witnessed by homomorphism: {assignment}")
 
 
-def _cmd_satisfies(args) -> int:
+# exit code and text line of each closure decision kind
+_DECISIONS = {
+    "Satisfied": (0, "Satisfied: t = {witness}"),
+    "NotSatisfied": (1, "NotSatisfied"),
+    "ResourceExceeded": (2, "ResourceExceeded after {elements_generated} elements"),
+}
+
+
+def _cmd_satisfies(args) -> Result:
     if args.algebra is None and args.affine is None:
         print("satisfies: need --algebra FILE and/or --affine M", file=sys.stderr)
-        return 2
+        return 2, None, ""
     c = ident.parse_condition(args.identity)
     payload: dict = {"condition": ident.print_condition(c)}
-    decision = None
+    lines = []
+    code = None
     if args.algebra is not None:
         a = alg.algebra_from_json(Path(args.algebra).read_text())
-        decision = alg.satisfies_condition(a, c, max_entries=args.max_entries,
-                                           max_elements=args.max_elements)
-        payload.update(alg.decision_to_json_dict(decision))
-    affine = None
+        payload.update(alg.decision_to_json_dict(alg.satisfies_condition(
+            a, c, max_entries=args.max_entries, max_elements=args.max_elements)))
+        code, line = _DECISIONS[payload["decision"]]
+        lines.append(line.format(**payload))
     if args.affine is not None:
         affine = alg.affine_satisfies(args.affine, c)
         payload["affine_modulus"] = args.affine
         payload["affine_coefficients"] = list(affine) if affine else None
-    agreement = None
-    if decision is not None and affine is not None \
-            and not isinstance(decision, alg.ResourceExceeded):
-        agreement = (affine is not None) == isinstance(decision, alg.Satisfied)
-        payload["oracles_agree"] = agreement
-        if not agreement:
-            print("warning: affine oracle disagrees with the closure decision; "
-                  f"is the algebra (Z_{args.affine}, x+y-z)?", file=sys.stderr)
-    if args.json:
-        print(_dumps(payload))
-    else:
-        if decision is not None:
-            if isinstance(decision, alg.Satisfied):
-                print(f"Satisfied: t = {alg.term_to_string(decision.term)}")
-            elif isinstance(decision, alg.NotSatisfied):
-                print("NotSatisfied")
-            else:
-                print(f"ResourceExceeded after {decision.elements_generated} elements")
-        if args.affine is not None:
-            if affine is not None:
-                coeffs = ",".join(str(x) for x in affine)
-                print(f"affine mod {args.affine}: coefficients ({coeffs})")
-            else:
-                print(f"affine mod {args.affine}: no solution")
-    if decision is not None:
-        if isinstance(decision, alg.Satisfied):
-            return 0
-        if isinstance(decision, alg.NotSatisfied):
-            return 1
-        return 2
-    return 0 if affine is not None else 1
+        found = affine is not None
+        lines.append(f"affine mod {args.affine}: " + (
+            f"coefficients ({','.join(str(x) for x in affine)})" if found else "no solution"))
+        if code is None:
+            code = 0 if found else 1
+        elif code != 2:  # both oracles answered
+            payload["oracles_agree"] = (code == 0) == found
+            if not payload["oracles_agree"]:
+                print("warning: affine oracle disagrees with the closure decision; "
+                      f"is the algebra (Z_{args.affine}, x+y-z)?", file=sys.stderr)
+    return code, payload, _text(*lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Result:
     if args.clique_n is None and args.cycle_k is None:
         print("verify: need --clique-n N and/or --cycle-k K", file=sys.stderr)
-        return 2
+        return 2, None, ""
     reports: dict[str, cons.Report] = {}
     if args.cycle_k is not None:
         reports["cycle_reduction"] = cons.verify_cycle_reduction(args.cycle_k)
     if args.clique_n is not None:
         reports["clique_claims"] = cons.verify_clique_claims(args.clique_n)
     ok = all(r.all_pass for r in reports.values())
-    if args.json:
-        payload = {name: r.to_json_dict() for name, r in reports.items()}
-        payload["all_pass"] = ok
-        print(_dumps(payload))
-    else:
-        for name, report in sorted(reports.items()):
-            for check in report.checks:
-                print(f"{'PASS' if check.passed else 'FAIL'} {name}.{check.name}")
-    return 0 if ok else 1
+    payload = {name: r.to_json_dict() for name, r in reports.items()}
+    payload["all_pass"] = ok
+    return 0 if ok else 1, payload, _text(
+        *(f"{'PASS' if check.passed else 'FAIL'} {name}.{check.name}"
+          for name, report in sorted(reports.items()) for check in report.checks))
 
 
-def _cmd_graph_info(args) -> int:
+def _cmd_graph_info(args) -> Result:
     c = ident.parse_condition(args.identity)
     g = ident.condition_graph(c)
     symmetric = gr.is_symmetric(g)
@@ -165,18 +146,13 @@ def _cmd_graph_info(args) -> int:
         "weakly_connected": connected,
         "algebraic_length": gr.algebraic_length(g) if connected else None,
     }
-    if args.json:
-        print(_dumps(info))
-    else:
-        for key in ("has_loop", "symmetric", "bipartite", "odd_girth", "smooth",
-                    "weakly_connected", "algebraic_length"):
-            print(f"{key}: {info[key]}")
-    return 0
+    return 0, info, _text(*(f"{key}: {info[key]}" for key in (
+        "has_loop", "symmetric", "bipartite", "odd_girth", "smooth",
+        "weakly_connected", "algebraic_length")))
 
 
-def _cmd_audit(args) -> int:
-    print(_dumps(alg.affine_remark_audit()))
-    return 0
+def _cmd_audit(args) -> Result:
+    return 0, None, _text(_dumps(alg.affine_remark_audit()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +217,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        code, payload, text = args.fn(args)
+        if getattr(args, "json", False) and payload is not None:
+            text = _text(_dumps(payload))
+        print(text, end="")
+        return code
     except (LoopcondError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

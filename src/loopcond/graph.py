@@ -466,13 +466,20 @@ def _ints(value, length: int | None = None) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _decode(text: str, build, error: type[Exception], name: str):
+    """build(json.loads(text)) for a file format.  A ValueError from either
+    step, and the RecursionError of JSON nested too deeply for the decoder,
+    become error(f"bad {name} JSON: ...")."""
+    try:
+        return build(json.loads(text))
+    except (RecursionError, ValueError) as exc:
+        raise error(f"bad {name} JSON: {exc}") from None
+
+
 def graph_from_json(text: str) -> DiGraph:
     """Read the graph JSON format strictly: an object with int `n` and a
     list `edges` of [a, b] int pairs in range(n).  Raises GraphFormatError
     for anything else."""
-    try:
-        data = json.loads(text)
-        return DiGraph.from_edges(_field(data, "n", int),
-                                  [_ints(e, 2) for e in _field(data, "edges", list)])
-    except ValueError as exc:
-        raise GraphFormatError(f"bad graph JSON: {exc}") from None
+    return _decode(text, lambda data: DiGraph.from_edges(
+        _field(data, "n", int), [_ints(e, 2) for e in _field(data, "edges", list)]),
+        GraphFormatError, "graph")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import ArityNotDivisible, GadgetFormatError, SlotMismatch
-from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _field, _ints, _network
+from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _decode, _field, _ints, _network
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,11 @@ def gadget_from_json(text: str) -> Gadget:
     a list `edges` of [slot, a, b] int triples, an int list `distinguished`
     and int `slots`, every vertex in range(vertices) and every slot in
     range(slots).  Raises GadgetFormatError for anything else."""
-    try:
-        data = json.loads(text)
-        return Gadget(_field(data, "vertices", int),
-                      tuple(_ints(e, 3) for e in _field(data, "edges", list)),
-                      _ints(_field(data, "distinguished", list)),
-                      _field(data, "slots", int))
-    except ValueError as exc:
-        raise GadgetFormatError(f"bad gadget JSON: {exc}") from None
+    return _decode(text, lambda data: Gadget(
+        _field(data, "vertices", int),
+        tuple(_ints(e, 3) for e in _field(data, "edges", list)),
+        _ints(_field(data, "distinguished", list)),
+        _field(data, "slots", int)), GadgetFormatError, "gadget")
 
 
 def _gadget_network(gadget: Gadget,

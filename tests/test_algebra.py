@@ -62,7 +62,8 @@ def test_algebra_json_roundtrip() -> None:
     text = algebra_to_json(PROJ)
     assert '"size": 2' in text and '"table": [0, 0, 1, 1]' in text
     for bad in ('[1]', '{"size": 2}', text.replace('"size": 2', '"size": 2.0'),
-                text.replace('"p1"', '1'), text.replace('[0, 0, 1, 1]', '[0, 0, 1, 2]')):
+                text.replace('"p1"', '1'), text.replace('[0, 0, 1, 1]', '[0, 0, 1, 2]'),
+                '[' * 100000 + ']' * 100000):
         with pytest.raises(AlgebraFormatError):
             algebra_from_json(bad)
 

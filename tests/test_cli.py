@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -13,6 +14,9 @@ from loopcond import SIGGERS_IDENTITY, algebra_to_json, mod_affine_algebra
 from loopcond.cli import main
 
 SMOOTH = "s(a,r,e,a)=s(r,a,r,e)"
+FIVE = "t(a,b,b,c,c,d,d,e,e,a)=t(b,a,c,b,d,c,e,d,a,e)"
+COMM = "t(x,y)=t(y,x)"
+Z2 = None  # stands for the z2_file fixture in argv lists
 
 
 @pytest.fixture
@@ -62,12 +66,11 @@ def test_classify_siggers(capsys) -> None:
 
 
 def test_implies_exit_codes(capsys) -> None:
-    five = "t(a,b,b,c,c,d,d,e,e,a)=t(b,a,c,b,d,c,e,d,a,e)"
-    assert main(["implies", five, SIGGERS_IDENTITY]) == 0
+    assert main(["implies", FIVE, SIGGERS_IDENTITY]) == 0
     assert "homomorphism" in capsys.readouterr().out
-    assert main(["implies", SIGGERS_IDENTITY, five]) == 1
+    assert main(["implies", SIGGERS_IDENTITY, FIVE]) == 1
     assert "not established" in capsys.readouterr().out
-    assert main(["implies", SIGGERS_IDENTITY, five, "--json"]) == 1
+    assert main(["implies", SIGGERS_IDENTITY, FIVE, "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["found"] is False
 
 
@@ -95,8 +98,9 @@ def test_satisfies_decisions(z2_file, capsys) -> None:
     '{"size": 2, "operations": [{"name": "f", "arity": 1, "table": [0, true]}]}',
     '{"size": 2, "operations": [{"name": "f", "arity": 1}]}',
     '{"size": 3, "operations": [{"name": "f", "arity": 100000000, "table": [0]}]}',
+    '[' * 100000 + ']' * 100000,
 ], ids=["no-size", "top-level-list", "float-entry", "bool-entry", "no-table",
-        "huge-arity"])
+        "huge-arity", "deep-nesting"])
 def test_satisfies_rejects_malformed_algebra(tmp_path, text) -> None:
     target = tmp_path / "bad.json"
     target.write_text(text)
@@ -119,6 +123,23 @@ def test_satisfies_affine_cross_check(z2_file, capsys) -> None:
     assert data["affine_coefficients"] == [1, 0, 1, 0, 1, 0]
     assert data["oracles_agree"] is True
     assert captured.err == ""
+
+
+def test_satisfies_cross_checks_a_negative_affine_answer(z2_file, tmp_path, capsys) -> None:
+    # both oracles say no: they agree
+    assert main(["satisfies", COMM, "--algebra", z2_file, "--affine", "2", "--json"]) == 1
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert (data["decision"], data["affine_coefficients"]) == ("NotSatisfied", None)
+    assert data["oracles_agree"] is True
+    assert captured.err == ""
+    # the closure finds a term over Z_3 that no affine map over Z_2 matches
+    z3_file = tmp_path / "z3.json"
+    z3_file.write_text(algebra_to_json(mod_affine_algebra(3)))
+    assert main(["satisfies", COMM, "--algebra", str(z3_file), "--affine", "2", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["oracles_agree"] is False
+    assert captured.err.startswith("warning: affine oracle disagrees")
 
 
 def test_satisfies_affine_only(capsys) -> None:
@@ -230,3 +251,62 @@ def test_failed_soundness_check_exits_3(monkeypatch, capsys, z2_file,
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: ")
     assert "Traceback" not in captured.err
+
+
+# argv, then the exit code and the first 16 hex digits of the sha256 of stdout
+# and of stderr; E is the digest of empty output
+E = "e3b0c44298fc1c14"
+FROZEN_RUNS = {
+    "parse": (["parse", SIGGERS_IDENTITY], 0, "732d088fa8d93802", E),
+    "parse-json": (["parse", SIGGERS_IDENTITY, "--json"], 0, "cfdd6d0a75cdc05e", E),
+    "parse-dot": (["parse", SIGGERS_IDENTITY, "--dot"], 0, "8d3d9a7238c35fc2", E),
+    "classify": (["classify", SMOOTH], 0, "f375e7849a621ca7", E),
+    "classify-json": (["classify", SMOOTH, "--json"], 0, "8f2059e0902c495a", E),
+    "graph-info": (["graph-info", SMOOTH], 0, "0c71e397219013f0", E),
+    "graph-info-json": (["graph-info", SMOOTH, "--json"], 0, "332995f74cb118c1", E),
+    "implies-found": (["implies", FIVE, SIGGERS_IDENTITY], 0, "7a3d10b67d7f0fe3", E),
+    "implies-found-json": (["implies", FIVE, SIGGERS_IDENTITY, "--json"], 0,
+                           "934f2d2655e49af0", E),
+    "implies-none": (["implies", SIGGERS_IDENTITY, FIVE], 1, "e61fc61b0e5da6e6", E),
+    "implies-none-json": (["implies", SIGGERS_IDENTITY, FIVE, "--json"], 1,
+                          "1f8dc30812936f44", E),
+    "satisfied": (["satisfies", SIGGERS_IDENTITY, "--algebra", Z2], 0,
+                  "507c34d9c7f9d6f8", E),
+    "satisfied-json": (["satisfies", SIGGERS_IDENTITY, "--algebra", Z2, "--json"], 0,
+                       "c3ebaec7aeac93ca", E),
+    "not-satisfied": (["satisfies", COMM, "--algebra", Z2], 1, "9c773eaa747bd856", E),
+    "not-satisfied-json": (["satisfies", COMM, "--algebra", Z2, "--json"], 1,
+                           "b109f6c6f4a7b378", E),
+    "resource-exceeded": (["satisfies", SIGGERS_IDENTITY, "--algebra", Z2,
+                           "--max-elements", "1"], 2, "2f2ca35768c7c160", E),
+    "resource-exceeded-json": (["satisfies", SIGGERS_IDENTITY, "--algebra", Z2,
+                                "--max-elements", "1", "--json"], 2, "7f4289b48fb4203f", E),
+    "affine-found": (["satisfies", COMM, "--affine", "3"], 0, "e76fcae575395f74", E),
+    "affine-found-json": (["satisfies", COMM, "--affine", "3", "--json"], 0,
+                          "ae99f08918abb50e", E),
+    "affine-none": (["satisfies", COMM, "--affine", "2"], 1, "a72786a33e9130d0", E),
+    "affine-none-json": (["satisfies", COMM, "--affine", "2", "--json"], 1,
+                         "5248af2f2ccc5ce2", E),
+    "oracles-agree": (["satisfies", SIGGERS_IDENTITY, "--algebra", Z2, "--affine", "2"], 0,
+                      "0c604dc03cac921a", E),
+    "oracles-agree-json": (["satisfies", SIGGERS_IDENTITY, "--algebra", Z2,
+                            "--affine", "2", "--json"], 0, "1c929f9902c02632", E),
+    "oracles-disagree": (["satisfies", COMM, "--algebra", Z2, "--affine", "3"], 1,
+                         "62bff8aa4d69c82a", "b1fb5c56b2ea3fab"),
+    "oracles-disagree-json": (["satisfies", COMM, "--algebra", Z2, "--affine", "3",
+                               "--json"], 1, "4372f98a91b9d4d7", "b1fb5c56b2ea3fab"),
+    "verify": (["verify", "--cycle-k", "5", "--clique-n", "3"], 0, "a3f3ae32e38afb79", E),
+    "verify-json": (["verify", "--cycle-k", "5", "--clique-n", "3", "--json"], 0,
+                    "939f56c0c78be9c0", E),
+    "audit": (["audit"], 0, "1331d0789f7fbd43", E),
+    "satisfies-needs-oracle": (["satisfies", COMM], 2, E, "2cb2a820e24b7c1c"),
+    "verify-needs-report": (["verify"], 2, E, "63e84b2c748a61d5"),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", FROZEN_RUNS.values(), ids=FROZEN_RUNS)
+def test_cli_output_is_frozen(z2_file, capsys, argv, code, out, err) -> None:
+    assert main([z2_file if a is Z2 else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert [hashlib.sha256(s.encode()).hexdigest()[:16]
+            for s in (captured.out, captured.err)] == [out, err]

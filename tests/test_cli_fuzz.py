@@ -105,7 +105,12 @@ def test_cli_fuzz(tmp_path, monkeypatch, capsys) -> None:
         assert code != 3, (argv, err)  # a soundness check failed: a real bug
         assert "Traceback" not in out + err, argv
         if code in (0, 1) and "--json" in argv and "--dot" not in argv:
-            json.loads(out)
+            data = json.loads(out)
+            if "--algebra" in argv and "--affine" in argv:
+                # both oracles answered, so the CLI cross-checks them
+                agree = (data["decision"] == "Satisfied") == \
+                    (data["affine_coefficients"] is not None)
+                assert data.get("oracles_agree") is agree, argv
         codes[code] = codes.get(code, 0) + 1
     for a, c, decision in decisions:
         if isinstance(decision, Satisfied):

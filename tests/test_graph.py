@@ -224,6 +224,7 @@ def test_json_roundtrip() -> None:
     '{"n": 2, "edges": [[0, 1, 1]]}', '{"n": 2, "edges": [[0, 1.0]]}',
     '{"n": 2, "edges": [[0, false]]}', '{"n": 2, "edges": [[0, 2]]}',
     '{"n": 2, "edges": [[-1, 0]]}', '{"n": 2, "edges": [7]}',
+    pytest.param('[' * 100000 + ']' * 100000, id="deep-nesting"),
 ])
 def test_graph_from_json_rejects_malformed(text) -> None:
     with pytest.raises(GraphFormatError, match="^bad graph JSON: "):

@@ -201,7 +201,8 @@ def test_gadget_from_json_names_the_edge_shape() -> None:
             gadget_from_json(json.dumps({**GOOD_GADGET, "edges": [edge]}))
 
 
-@pytest.mark.parametrize("text", ["not json", "[]", "3"])
+@pytest.mark.parametrize("text", [
+    "not json", "[]", "3", pytest.param('[' * 100000 + ']' * 100000, id="deep-nesting")])
 def test_gadget_from_json_rejects_non_objects(text) -> None:
     with pytest.raises(GadgetFormatError, match="^bad gadget JSON: "):
         gadget_from_json(text)
