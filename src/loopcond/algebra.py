@@ -14,6 +14,16 @@ items, and the pair closure interns tables by content: a pair is two table
 ids, and each operation keeps one memo from a tuple of argument table ids to
 the id of the composed table, so a combination whose tables were composed
 before costs two dictionary lookups.
+
+One kernel, `_apply_columns`, composes tables.  On the decision path a
+table over a universe of at most 256 elements is `bytes`, one byte per row.
+For an operation with at most 256 table entries the kernel reads each
+argument column as one big integer, combines them by Horner's rule into an
+integer whose bytes are the rows' table indices, and maps those bytes
+through the table with `bytes.translate`: a few big-integer operations per
+composed table instead of a Python step per row.  Larger operations, 0-ary
+ones, and the tuple columns of larger universes, of `generate_subpower` and
+of `is_compatible` take the generic path, one list index per row.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Union
 
@@ -35,6 +46,10 @@ DEFAULT_MAX_ENTRIES = 4096
 #: Default cap on elements generated by a closure.
 DEFAULT_MAX_ELEMENTS = 10**6
 
+#: A table over rows, one element per row: bytes on the decision path when
+#: every element fits in a byte, a tuple of ints otherwise.
+Column = Union[bytes, tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class Operation:
@@ -46,6 +61,13 @@ class Operation:
     name: str
     arity: int
     table: tuple[int, ...]
+
+    @cached_property
+    def lookup(self) -> bytes:
+        """The table padded to a 256-byte map for `bytes.translate`; the
+        kernel builds it only for tables of at most 256 entries, each below
+        256."""
+        return bytes(self.table).ljust(256, b"\0")
 
 
 @dataclass(frozen=True)
@@ -216,26 +238,40 @@ def term_to_string(t: Term) -> str:
                    lambda s: ")")
 
 
-def _apply_columns(op: Operation, size: int, cols, length: int) -> tuple[int, ...]:
+def _apply_columns(op: Operation, size: int, cols, length: int, kind: type) -> Column:
     """The table kernel: op applied row by row to `length`-long argument
-    columns, one column per argument."""
+    columns, one column per argument, all of type `kind` (bytes or tuple);
+    returns a column of that type.
+
+    Bytes columns of an operation with at most 256 table entries are packed:
+    each column is read as one little-endian integer, and Horner's rule
+    combines them into one integer whose byte r is the table index of row
+    r.  No lane carries, as every partial index is below size ** arity <=
+    256, so `translate` maps the index bytes through the table at once.
+    """
     if op.arity == 0:
-        return (op.table[0],) * length
+        return kind((op.table[0],)) * length
+    if kind is bytes and size ** op.arity <= 256:
+        index = 0
+        for col in cols:
+            index = index * size + int.from_bytes(col, "little")
+        return index.to_bytes(length, "little").translate(op.lookup)
     index = cols[0]
     for col in cols[1:]:
         index = [i * size + x for i, x in zip(index, col)]
-    return tuple(map(op.table.__getitem__, index))
+    return kind(map(op.table.__getitem__, index))
 
 
-def _term_column(a: FiniteAlgebra, t: Term, leaves, length: int) -> tuple[int, ...]:
-    """The `length`-row table of t, leaf x(i+1) reading the column leaves[i].
+def _term_column(a: FiniteAlgebra, t: Term, leaves, length: int, kind: type) -> Column:
+    """The `length`-row table of t, leaf x(i+1) reading the column leaves[i],
+    as a column of type `kind` like the leaves.
 
     Walks the term DAG once, composing each distinct subterm (by id) with
     the table kernel, and raises BadTerm for an unknown operation, a wrong
     argument count or a leaf out of range.
     """
     ops = {op.name: op for op in a.operations}
-    done: dict[int, tuple[int, ...]] = {}
+    done: dict[int, Column] = {}
     stack = [t]
     while stack:
         s = stack.pop()
@@ -256,14 +292,14 @@ def _term_column(a: FiniteAlgebra, t: Term, leaves, length: int) -> tuple[int, .
             stack += [s, *pending]
         else:
             cols = [done[id(u)] for u in s.args]
-            done[id(s)] = _apply_columns(op, a.size, cols, length)
+            done[id(s)] = _apply_columns(op, a.size, cols, length, kind)
     return done[id(t)]
 
 
 def evaluate_term(a: FiniteAlgebra, t: Term, args: tuple[int, ...]) -> int:
     """Value of t at one row of arguments; raises BadTerm for an unknown
     operation, a wrong argument count or a leaf outside args."""
-    return _term_column(a, t, [(x,) for x in args], 1)[0]
+    return _term_column(a, t, [(x,) for x in args], 1, tuple)[0]
 
 
 def _projections(size: int, n: int) -> list[tuple[int, ...]]:
@@ -274,13 +310,22 @@ def _projections(size: int, n: int) -> list[tuple[int, ...]]:
             for j in range(n)]
 
 
-def _variable_columns(a: FiniteAlgebra, c: LoopCondition) -> dict[str, tuple[int, ...]]:
-    """Each variable of c mapped to its projection table over all rows."""
-    return dict(zip(c.variables, _projections(a.size, len(c.variables))))
+def _column_kind(size: int) -> type:
+    """The column type of the decision path: bytes, one per row, when every
+    element fits in a byte, else tuple."""
+    return bytes if size <= 256 else tuple
+
+
+def _variable_columns(a: FiniteAlgebra, c: LoopCondition) -> dict[str, Column]:
+    """Each variable of c mapped to its projection table over all rows, as a
+    column of type _column_kind(a.size)."""
+    kind = _column_kind(a.size)
+    return {v: kind(col)
+            for v, col in zip(c.variables, _projections(a.size, len(c.variables)))}
 
 
 def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term,
-                    proj: dict[str, tuple[int, ...]]) -> list[int]:
+                    proj: dict[str, Column]) -> list[int]:
     """The rows (assignments of the condition's variables, last variable
     fastest, in that order) where t(u1..un) and t(v1..vn) differ.
 
@@ -289,8 +334,9 @@ def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term,
     two.  Raises BadTerm for structurally invalid terms.
     """
     length = a.size ** len(c.variables)
-    left = _term_column(a, t, [proj[u] for u in c.lhs], length)
-    right = _term_column(a, t, [proj[v] for v in c.rhs], length)
+    kind = _column_kind(a.size)
+    left = _term_column(a, t, [proj[u] for u in c.lhs], length, kind)
+    right = _term_column(a, t, [proj[v] for v in c.rhs], length, kind)
     if left == right:
         return []
     return [r for r, (x, y) in enumerate(zip(left, right)) if x != y]
@@ -314,7 +360,7 @@ def is_compatible(a: FiniteAlgebra, r: Relation) -> bool:
     tuples = r.sorted_tuples()
     for op in a.operations:
         for args in product(tuples, repeat=op.arity):
-            if _apply_columns(op, a.size, args, r.arity) not in r.tuples:
+            if _apply_columns(op, a.size, args, r.arity, tuple) not in r.tuples:
                 return False
     return True
 
@@ -394,7 +440,8 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
             raise ValueError(f"generator {g} is not a valid {k}-tuple")
     seeds = [(g, ("gen", i)) for i, g in enumerate(gens)]
 
-    ops = [(op.name, op.arity, lambda args, op=op: _apply_columns(op, a.size, args, k))
+    ops = [(op.name, op.arity,
+            lambda args, op=op: _apply_columns(op, a.size, args, k, tuple))
            for op in a.operations]
     res = _close(seeds, ops, cap)
     return SubpowerResult(Relation(a.size, k, frozenset(res.items)),
@@ -462,14 +509,16 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
     the condition, as `length`-row tables, stopping at the first pair whose
     two tables are equal.
 
-    columns maps each variable to its projection column.  Items are pairs of
-    interned table ids; each seed is tagged ("pos", first position of its
-    edge), each generated pair (op name, argument pairs).
+    columns maps each variable to its projection column, of type
+    _column_kind(a.size).  Items are pairs of interned table ids; each seed
+    is tagged ("pos", first position of its edge), each generated pair (op
+    name, argument pairs).
     """
-    tables: list[tuple[int, ...]] = []
-    table_id: dict[tuple[int, ...], int] = {}
+    kind = _column_kind(a.size)
+    tables: list[Column] = []
+    table_id: dict[Column, int] = {}
 
-    def intern(table: tuple[int, ...]) -> int:
+    def intern(table: Column) -> int:
         got = table_id.get(table)
         if got is not None:
             return got
@@ -483,15 +532,19 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
         memo: dict[tuple[int, ...], int] = {}  # argument table ids -> table id
 
         def compose(ids: tuple[int, ...]) -> int:
-            got = memo.get(ids)
-            if got is None:
-                got = memo[ids] = intern(
-                    _apply_columns(op, a.size, [tables[i] for i in ids], length))
+            memo[ids] = got = intern(
+                _apply_columns(op, a.size, [tables[i] for i in ids], length, kind))
             return got
 
         def fn(args):
             left, right = zip(*args) if args else ((), ())
-            return compose(left), compose(right)
+            got_left = memo.get(left)
+            if got_left is None:
+                got_left = compose(left)
+            got_right = memo.get(right)
+            if got_right is None:
+                got_right = compose(right)
+            return got_left, got_right
         return fn
 
     ops = [(op.name, op.arity, pairwise(op)) for op in a.operations]
@@ -538,9 +591,10 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
             f"free-algebra tables need {rows} entries, cap is {max_entries}")
 
     full = _variable_columns(a, c)
+    kind = _column_kind(a.size)
     subset: list[int] = []
     while True:
-        columns = {v: tuple(map(col.__getitem__, subset)) for v, col in full.items()}
+        columns = {v: kind(map(col.__getitem__, subset)) for v, col in full.items()}
         res = _close_pairs(a, c, columns, len(subset), max_elements)
         if res.found is None:
             return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))

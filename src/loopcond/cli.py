@@ -8,7 +8,8 @@ stdout; warnings and errors go to stderr.
 Exit codes: 0 for a positive answer, 1 for a negative mathematical answer
 (no homomorphism found, condition not satisfied, a verification check
 failed), 2 for usage or resource errors, 3 for an internal error: a
-soundness check found that a solver's answer does not check out.
+soundness check found that a solver's answer does not check out, or any
+other unexpected exception, reported on one stderr line without a traceback.
 """
 
 from __future__ import annotations
@@ -227,6 +228,9 @@ def main(argv=None) -> int:
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

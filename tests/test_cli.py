@@ -253,6 +253,21 @@ def test_failed_soundness_check_exits_3(monkeypatch, capsys, z2_file,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("exc", [KeyError("lost"), RuntimeError("broken")],
+                         ids=["KeyError", "RuntimeError"])
+def test_unexpected_exception_exits_3(monkeypatch, capsys, z2_file, exc) -> None:
+    # exit 1 means "no", so a bug must not end in the traceback-and-1 of an
+    # uncaught exception
+    def boom(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(loopcond.algebra, "satisfies_condition", boom)
+    assert main(["satisfies", SIGGERS_IDENTITY, "--algebra", z2_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(exc).__name__}: {exc}\n"
+    assert "Traceback" not in captured.err
+
+
 # argv, then the exit code and the first 16 hex digits of the sha256 of stdout
 # and of stderr; E is the digest of empty output
 E = "e3b0c44298fc1c14"

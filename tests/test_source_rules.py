@@ -53,3 +53,38 @@ def test_only_cli_main_writes_stdout() -> None:
              and id(node) not in in_main]
     assert in_main
     assert found == []
+
+
+def test_only_the_kernel_reads_table_entries() -> None:
+    # one table-composition kernel: _apply_columns composes columns, and
+    # FiniteAlgebra.apply and the Operation.lookup builder are its row and
+    # byte forms; everything else composes through them and reads op.table
+    # only as a whole (validation, JSON, its length)
+    allowed = {("algebra.py", None, "_apply_columns"), ("algebra.py", "FiniteAlgebra", "apply"),
+               ("algebra.py", "Operation", "lookup")}
+    trees = _trees()
+    matched, inside = set(), set()
+    for name, tree in trees:
+        scopes = [(None, fn) for fn in tree.body] + \
+            [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for fn in cls.body]
+        for owner, fn in scopes:
+            if isinstance(fn, ast.FunctionDef) and (name, owner, fn.name) in allowed:
+                matched.add((name, owner, fn.name))
+                inside |= {id(node) for node in ast.walk(fn)}
+    assert matched == allowed
+
+    def reads_entries(node: ast.AST) -> bool:
+        if isinstance(node, ast.Subscript):
+            target = node.value
+        elif isinstance(node, ast.Attribute) and node.attr == "__getitem__":
+            target = node.value
+        else:
+            return False
+        return isinstance(target, ast.Attribute) and target.attr == "table"
+
+    found = [f"{name}:{node.lineno}"
+             for name, tree in trees
+             for node in ast.walk(tree)
+             if reads_entries(node) and id(node) not in inside]
+    assert found == []
