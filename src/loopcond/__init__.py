@@ -18,7 +18,7 @@ from .errors import (AlgebraFormatError, ArityMismatch, ArityNotDivisible, BadTe
                      GadgetFormatError, GraphFormatError, LoopcondError, NotSymmetric,
                      NotWeaklyConnected, SizeCap, SlotMismatch, SymbolMismatch,
                      UniverseMismatch)
-from .graph import (DiGraph, Homomorphism, algebraic_length, clique, cycle,
+from .graph import (DiGraph, Homomorphism, algebraic_length, clique, core, cycle,
                     directed_cycle, find_embedding, find_hom, graph_from_json,
                     graph_to_json, has_loop, is_bipartite, is_smooth,
                     is_symmetric, is_weakly_connected, odd_girth, path, petersen,

@@ -9,6 +9,16 @@ without a diagonal pair refutes the condition, and a diagonal pair on R is
 replayed from provenance into a candidate term, which is checked on all rows
 and either returned or refuted by rows that then join R.
 
+A condition graph G is decided on its core C first, when C is smaller: G
+and C map to each other, so their conditions are equivalent, and the
+closure on C runs on fewer variables.  A refutation on C is returned with
+its certificate checked, the retraction G -> C being a homomorphism.  Any
+other outcome runs G's own closure, so every answer G's closure gives is
+kept as it is; only where G's closure hits its element cap is a witness for
+C carried over to G, by renaming its leaves along the inclusion C -> G, and
+checked on all rows.  The ExponentCap on table entries still counts G's
+variables.
+
 The closure engine `_close` enumerates argument combinations as tuples of
 items, and the pair closure interns tables by content: a pair is two table
 ids, and each operation keeps one memo from a tuple of argument table ids to
@@ -35,9 +45,10 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Union
 
-from .errors import AlgebraFormatError, BadTerm, ExponentCap, UniverseMismatch
-from .graph import _decode, _field
-from .identity import LoopCondition
+from .errors import (AlgebraFormatError, BadTerm, BudgetExceeded, ExponentCap,
+                     UniverseMismatch)
+from .graph import _decode, _field, core
+from .identity import LoopCondition, condition_from_graph, condition_graph
 from .ppdef import Relation
 
 #: Default cap on free-algebra table entries (size ** variables).
@@ -302,11 +313,11 @@ def evaluate_term(a: FiniteAlgebra, t: Term, args: tuple[int, ...]) -> int:
     return _term_column(a, t, [(x,) for x in args], 1, tuple)[0]
 
 
-def _projections(size: int, n: int) -> list[tuple[int, ...]]:
-    """The n projection tables over all size^n rows, last variable fastest:
-    column j runs through range(size), each value size^(n-1-j) times in a
-    row, size^j times over."""
-    return [sum(((x,) * size ** (n - 1 - j) for x in range(size)), ()) * size ** j
+def _projections(size: int, n: int, kind: type = tuple) -> list[Column]:
+    """The n projection tables over all size^n rows, last variable fastest,
+    as columns of type `kind`: column j runs through range(size), each value
+    size^(n-1-j) times in a row, size^j times over."""
+    return [kind(x for x in range(size) for _ in range(size ** (n - 1 - j))) * size ** j
             for j in range(n)]
 
 
@@ -319,9 +330,8 @@ def _column_kind(size: int) -> type:
 def _variable_columns(a: FiniteAlgebra, c: LoopCondition) -> dict[str, Column]:
     """Each variable of c mapped to its projection table over all rows, as a
     column of type _column_kind(a.size)."""
-    kind = _column_kind(a.size)
-    return {v: kind(col)
-            for v, col in zip(c.variables, _projections(a.size, len(c.variables)))}
+    return dict(zip(c.variables,
+                    _projections(a.size, len(c.variables), _column_kind(a.size))))
 
 
 def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term,
@@ -503,6 +513,15 @@ def _term_from_provenance(item, provenance) -> Term:
     return built[item]
 
 
+def _first_positions(c: LoopCondition) -> dict[tuple[str, str], int]:
+    """Each edge (u, v) of c's graph, in order of first occurrence, mapped to
+    the first position i with (lhs[i], rhs[i]) = (u, v)."""
+    first: dict[tuple[str, str], int] = {}
+    for pos, edge in enumerate(zip(c.lhs, c.rhs)):
+        first.setdefault(edge, pos)
+    return first
+
+
 def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
                  length: int, cap: int) -> _Closure:
     """Close the pairs (proj_u, proj_v), one per deduplicated edge (u, v) of
@@ -548,12 +567,51 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
         return fn
 
     ops = [(op.name, op.arity, pairwise(op)) for op in a.operations]
-
-    first: dict[tuple[str, str], int] = {}
-    for pos, edge in enumerate(zip(c.lhs, c.rhs)):
-        first.setdefault(edge, pos)
-    seeds = [((proj_id[u], proj_id[v]), ("pos", pos)) for (u, v), pos in first.items()]
+    seeds = [((proj_id[u], proj_id[v]), ("pos", pos))
+             for (u, v), pos in _first_positions(c).items()]
     return _close(seeds, ops, cap, stop=lambda pair: pair[0] == pair[1])
+
+
+def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:
+    """The closure decision of c on a row subset R that starts empty and
+    grows on failed candidates (see satisfies_condition)."""
+    full = _variable_columns(a, c)
+    kind = _column_kind(a.size)
+    subset: list[int] = []
+    while True:
+        columns = {v: kind(map(col.__getitem__, subset)) for v, col in full.items()}
+        res = _close_pairs(a, c, columns, len(subset), max_elements)
+        if res.found is None:
+            return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
+        term = _term_from_provenance(res.found, res.provenance)
+        differ = _differing_rows(a, c, term, full)
+        if not differ:
+            return Satisfied(term)
+        if not set(differ).isdisjoint(subset):
+            raise AssertionError("extracted witness differs on a row it was closed over")
+        for row in differ[:max(1, len(subset))]:
+            insort(subset, row)
+
+
+def _reindex(t: Term, positions: list[int]) -> Term:
+    """t with every leaf Var(j) replaced by Var(positions[j]).  Walks the
+    term DAG with an explicit stack and rebuilds each distinct subterm (by
+    id) once, so sharing is kept and any depth works."""
+    built: dict[int, Term] = {}
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        if id(s) in built:
+            stack.pop()
+        elif isinstance(s, Var):
+            built[id(s)] = Var(positions[s.index])
+        else:
+            pending = [u for u in s.args if id(u) not in built]
+            if pending:
+                stack += pending
+            else:
+                built[id(s)] = App(s.op, tuple(built[id(u)] for u in s.args))
+    return built[id(t)]
 
 
 def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
@@ -579,10 +637,27 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
     failing, few rounds redo a large closure.  R grows to all rows at most,
     where the closure is the full one.
 
+    The condition graph G is first reduced to its core C (graph.core), and
+    when C is smaller the condition of C (C's edges in sorted order, G's
+    variable names) is decided first.  G and C map to each other, so
+    their conditions are equivalent:
+
+    - NotSatisfied on C is returned once the retraction G -> C is checked
+      to be a homomorphism, which carries any witness for G to one for C;
+    - otherwise G's own decision is returned, so every answer it gives is
+      unchanged;
+    - where that decision is ResourceExceeded and C's is Satisfied, C's
+      witness is carried to G along the inclusion C -> G: leaf x(j+1) goes
+      to the first position of G whose edge is C's edge j.  The result is
+      checked on all rows of G.
+
+    A soundness check that fails raises AssertionError.
+
     Honest resource outcomes: raises ExponentCap if size^|variables| exceeds
-    max_entries, and returns ResourceExceeded when the closure on R passes
-    max_elements.  Its elements_generated counts that closure, which is
-    never larger than the full one.
+    max_entries (G's variables, even where C has fewer), and returns
+    ResourceExceeded when the closure on R passes max_elements.  Its
+    elements_generated counts that closure, which is never larger than the
+    full one.
     """
     n = len(c.variables)
     rows = a.size ** n
@@ -590,22 +665,32 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
         raise ExponentCap(
             f"free-algebra tables need {rows} entries, cap is {max_entries}")
 
-    full = _variable_columns(a, c)
-    kind = _column_kind(a.size)
-    subset: list[int] = []
-    while True:
-        columns = {v: kind(map(col.__getitem__, subset)) for v, col in full.items()}
-        res = _close_pairs(a, c, columns, len(subset), max_elements)
-        if res.found is None:
-            return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
-        term = _term_from_provenance(res.found, res.provenance)
-        differ = _differing_rows(a, c, term, full)
-        if not differ:
-            return Satisfied(term)
-        if not set(differ).isdisjoint(subset):
-            raise AssertionError("extracted witness differs on a row it was closed over")
-        for row in differ[:max(1, len(subset))]:
-            insort(subset, row)
+    g = condition_graph(c)
+    try:
+        retraction = core(g)
+    except BudgetExceeded:  # the core only saves work: decide G as it is
+        retraction = None
+    if retraction is None or retraction.target.n == g.n:
+        return _refine(a, c, max_elements)
+    small = condition_from_graph(retraction.target, c.symbol)
+    on_core = _refine(a, small, max_elements)
+    if isinstance(on_core, NotSatisfied):
+        if retraction.source != g or not retraction.is_valid():
+            raise AssertionError("core refutation has no valid retraction to carry it")
+        return on_core
+    decision = _refine(a, c, max_elements)
+    if not isinstance(on_core, Satisfied) or isinstance(decision, Satisfied):
+        return decision
+    if isinstance(decision, NotSatisfied):
+        raise AssertionError("condition refuted although its core is satisfied")
+    first = _first_positions(c)
+    positions = [first.get(edge) for edge in zip(small.lhs, small.rhs)]
+    if None in positions:
+        raise AssertionError("core edge is not an edge of the condition graph")
+    term = _reindex(on_core.term, positions)
+    if _differing_rows(a, c, term, _variable_columns(a, c)):
+        raise AssertionError("witness carried from the core fails on the condition")
+    return Satisfied(term)
 
 
 # ---------------------------------------------------------------------------

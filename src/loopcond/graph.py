@@ -97,8 +97,14 @@ def is_bipartite(g: DiGraph) -> bool:
     """2-colorability of a symmetric graph; a loop counts as an odd cycle."""
     if not is_symmetric(g):
         raise NotSymmetric("bipartiteness is defined for symmetric graphs only")
+    return _two_colouring(g) is not None
+
+
+def _two_colouring(g: DiGraph) -> list[int] | None:
+    """A proper 0/1 colouring of a symmetric graph, each component's least
+    vertex coloured 0, or None if it has an odd cycle (a loop is one)."""
     if has_loop(g):
-        return False
+        return None
     adj = _undirected_adjacency(g)
     color = [-1] * g.n
     for s in range(g.n):
@@ -113,35 +119,39 @@ def is_bipartite(g: DiGraph) -> bool:
                     color[w] = 1 - color[v]
                     queue.append(w)
                 elif color[w] == color[v]:
-                    return False
-    return True
+                    return None
+    return color
 
 
 def odd_girth(g: DiGraph) -> int | None:
     """Length of a shortest odd cycle of a symmetric graph; None iff bipartite.
 
     A loop is an odd cycle of length 1.  Computed as the shortest odd closed
-    walk via breadth-first search over (vertex, parity) states.
+    walk by a breadth-first search over (vertex, parity) states from each
+    vertex, one layer of vertices at a time as a bitmask.
     """
     if not is_symmetric(g):
         raise NotSymmetric("odd girth is defined for symmetric graphs only")
-    adj = _undirected_adjacency(g)
+    nbrs = [0] * g.n
+    for a, b in g.edges:
+        nbrs[a] |= 1 << b
     best: int | None = None
     for s in range(g.n):
-        dist = [[-1, -1] for _ in range(g.n)]
-        dist[s][0] = 0
-        queue = deque([(s, 0)])
-        while queue:
-            v, p = queue.popleft()
-            d = dist[v][p]
-            if best is not None and d + 1 >= best:
-                continue
-            for w in adj[v]:
-                if dist[w][1 - p] == -1:
-                    dist[w][1 - p] = d + 1
-                    queue.append((w, 1 - p))
-        if dist[s][1] != -1 and (best is None or dist[s][1] < best):
-            best = dist[s][1]
+        # seen[p]: vertices reached from s by a walk of parity p so far
+        seen = [1 << s, 0]
+        layer, d = 1 << s, 0
+        while layer and (best is None or d + 1 < best):
+            d += 1
+            reached, m = 0, layer
+            while m:
+                low = m & -m
+                reached |= nbrs[low.bit_length() - 1]
+                m ^= low
+            layer = reached & ~seen[d & 1]
+            if d & 1 and layer >> s & 1:
+                best = d
+                break
+            seen[d & 1] |= layer
     return best
 
 
@@ -371,6 +381,87 @@ def find_embedding(g: DiGraph, h: DiGraph, *,
     if g.n > h.n:
         return None
     return _checked_hom(g, h, budget, True)
+
+
+def _induced(g: DiGraph, kept: list[int]) -> DiGraph:
+    """The subgraph of g induced on the ascending vertices `kept`: vertex i
+    stands for kept[i] and bears g's name for it."""
+    index = {v: i for i, v in enumerate(kept)}
+    return DiGraph(len(kept), frozenset((index[a], index[b]) for a, b in g.edges
+                                        if a in index and b in index),
+                   tuple(g.label(v) for v in kept))
+
+
+def _retraction(g: DiGraph, kept: list[int], image: list[int]) -> Homomorphism:
+    """The map v -> image[v] of g onto its subgraph induced on `kept`,
+    checked to be a homomorphism that fixes every kept vertex."""
+    index = {v: i for i, v in enumerate(kept)}
+    hom = Homomorphism(g, _induced(g, kept), tuple(index[x] for x in image))
+    if not hom.is_valid() or any(image[v] != v for v in kept):
+        raise AssertionError("core step produced a map that is not a retraction")
+    return hom
+
+
+def core(g: DiGraph) -> Homomorphism:
+    """A retraction of g onto a core C of g.
+
+    C, the returned map's target, is the subgraph of g induced on some of
+    its vertices (ascending, named by g's names for them) that has no
+    homomorphism to a proper subgraph of itself; the map fixes every vertex
+    of C.  The core is unique up to isomorphism (Hell and Nesetril, 1992),
+    and g and C map to each other, so both satisfy the same loop
+    conditions.
+
+    Vertices are tried in ascending order, and v is removed when find_hom(C,
+    C - v) finds a map; the maps compose into g -> C.  A vertex kept once
+    stays kept, since the earlier C maps onto every later one.  Shortcuts
+    answer without a search where graph theory decides:
+
+    - a graph with a loop retracts onto its least looped vertex;
+    - a symmetric loopless bipartite graph with an edge retracts onto its
+      least edge, through a 2-colouring;
+    - a loopless graph with every two vertices adjacent is a core, as a map
+      to fewer vertices merges two of them;
+    - on a symmetric graph with odd girth k, v stays when C - v is
+      bipartite or has odd girth above k (always so when C has at most k
+      vertices, so odd cycles are cores at once), since a map sends a
+      k-cycle to an odd closed walk of length k.
+
+    Raises BudgetExceeded when one of the searches runs out of budget.
+    """
+    loops = sorted(a for a, b in g.edges if a == b)
+    if loops:
+        return _retraction(g, loops[:1], loops[:1] * g.n)
+    symmetric = is_symmetric(g)
+    colour = _two_colouring(g) if symmetric else None
+    if colour is not None and g.edges:
+        a, b = min(g.edges)
+        ends = (a, b) if colour[a] == 0 else (b, a)
+        return _retraction(g, sorted((a, b)), [ends[x] for x in colour])
+    kept = list(range(g.n))
+    if len({frozenset(e) for e in g.edges}) == g.n * (g.n - 1) // 2:
+        return _retraction(g, kept, kept)
+    girth = odd_girth(g) if symmetric else None
+    image = list(range(g.n))
+    for v in range(g.n):
+        rest = [u for u in kept if u != v]
+        if girth is not None:
+            if len(rest) < girth:
+                break
+            rest_girth = odd_girth(_induced(g, rest))
+            if rest_girth is None or rest_girth > girth:
+                continue
+        hom = find_hom(_induced(g, kept), _induced(g, rest))
+        if hom is not None:
+            position = {u: i for i, u in enumerate(kept)}
+            image = [rest[hom.mapping[position[x]]] for x in image]
+            kept = rest
+    # the map g -> C restricted to the core C is an automorphism, whose
+    # inverse turns the map into a retraction
+    inverse = {image[v]: v for v in kept}
+    if len(inverse) != len(kept):
+        raise AssertionError("a core's endomorphism is not onto")
+    return _retraction(g, kept, [inverse[x] for x in image])
 
 
 def cycle(n: int) -> DiGraph:

@@ -4,9 +4,11 @@ These deliberately avoid the library's search/composition code paths: full
 enumeration of maps, naive fixpoints, and dynamic programming over walks.
 """
 
-from itertools import permutations, product
+import random
+from itertools import combinations, permutations, product
 
-from loopcond import DiGraph, Gadget, Relation, Var, find_embedding, generate_subpower
+from loopcond import (DiGraph, FiniteAlgebra, Gadget, Operation, Relation, Var,
+                      find_embedding, generate_subpower)
 
 
 def all_homomorphisms(g: DiGraph, h: DiGraph) -> list[tuple[int, ...]]:
@@ -21,6 +23,28 @@ def all_homomorphisms(g: DiGraph, h: DiGraph) -> list[tuple[int, ...]]:
 def hom_exists_brute(g: DiGraph, h: DiGraph) -> bool:
     return any(all((m[a], m[b]) in h.edges for a, b in g.edges)
                for m in product(range(h.n), repeat=g.n))
+
+
+def induced_brute(g: DiGraph, kept) -> DiGraph:
+    """The subgraph of g induced on the vertices `kept`, in that order."""
+    kept = list(kept)
+    return DiGraph(len(kept), frozenset((i, j) for i, a in enumerate(kept)
+                                        for j, b in enumerate(kept) if (a, b) in g.edges))
+
+
+def smallest_retract_brute(g: DiGraph) -> DiGraph:
+    """An induced subgraph g[S] with |S| least such that some map g -> g[S]
+    fixing S preserves every edge; every such g[S] is a core of g.  Tries
+    each S by size, and each map of the vertices outside S into S."""
+    for k in range(min(g.n, 1), g.n + 1):
+        for kept in combinations(range(g.n), k):
+            others = [v for v in range(g.n) if v not in kept]
+            for images in product(kept, repeat=len(others)):
+                m = dict(zip(kept, kept))
+                m.update(zip(others, images))
+                if all((m[a], m[b]) in g.edges for a, b in g.edges):
+                    return induced_brute(g, kept)
+    raise AssertionError("the identity map is a retraction")
 
 
 def embedding_exists_brute(g: DiGraph, h: DiGraph) -> bool:
@@ -38,6 +62,18 @@ def evaluate_brute(gadget: Gadget, inputs: list[DiGraph]) -> Relation:
         if all((f[a], f[b]) in inputs[t].edges for t, a, b in gadget.typed_edges):
             tuples.add(tuple(f[u] for u in gadget.distinguished))
     return Relation(universe, len(gadget.distinguished), frozenset(tuples))
+
+
+def random_algebra(rng: random.Random, max_size: int) -> FiniteAlgebra:
+    """Universe of 2..max_size elements, one or two operations of arity 1-3,
+    the second possibly 0-ary, with random tables."""
+    size = rng.randint(2, max_size)
+    ops = []
+    for i in range(rng.randint(1, 2)):
+        arity = rng.randint(0 if i else 1, 3)
+        ops.append(Operation(f"f{i}", arity,
+                             tuple(rng.randrange(size) for _ in range(size ** arity))))
+    return FiniteAlgebra(size, tuple(ops))
 
 
 def walk_pairs_brute(g: DiGraph, k: int) -> set[tuple[int, int]]:

@@ -1,11 +1,14 @@
 """Seeded fuzzing of the command line, in process: random identities, algebra
 files and flags.  Every run must end in a documented exit code without a
-traceback, and every positive answer the CLI reports must check out."""
+traceback, every positive answer the CLI reports must check out, and so must
+every refutation small enough for the row-free oracle."""
 
 import json
 import random
 
-from loopcond import FiniteAlgebra, Operation, Satisfied, algebra_to_json, verify_witness
+from helpers import decide_by_subpower
+from loopcond import (FiniteAlgebra, NotSatisfied, Operation, Satisfied, algebra_to_json,
+                      verify_witness)
 from loopcond import algebra as alg
 from loopcond import cli
 
@@ -112,12 +115,19 @@ def test_cli_fuzz(tmp_path, monkeypatch, capsys) -> None:
                     (data["affine_coefficients"] is not None)
                 assert data.get("oracles_agree") is agree, argv
         codes[code] = codes.get(code, 0) + 1
+    refuted = 0
     for a, c, decision in decisions:
         if isinstance(decision, Satisfied):
             assert verify_witness(a, c, decision.term)
+        elif isinstance(decision, NotSatisfied) and a.size <= 2 and len(c.variables) <= 3:
+            cap = {1: 400, 2: 150, 3: 30}[max(op.arity for op in a.operations)]
+            expected = decide_by_subpower(a, c, cap)
+            assert expected in (None, "NotSatisfied"), (a, c)
+            refuted += expected == "NotSatisfied"
     assert all(hom.is_valid() for hom in homs if hom is not None)
     # the corpus reaches every answer the CLI gives
     assert codes.keys() == {0, 1, 2}
     kinds = {type(d).__name__ for _, _, d in decisions}
     assert kinds == {"Satisfied", "NotSatisfied", "ResourceExceeded"}
     assert None in homs and any(hom is not None for hom in homs)
+    assert refuted >= 50

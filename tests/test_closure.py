@@ -48,3 +48,12 @@ def test_projections_match_product_reference() -> None:
             rows = list(product(range(size), repeat=n))
             assert _projections(size, n) == [tuple(row[j] for row in rows)
                                              for j in range(n)]
+
+
+def test_projections_are_built_in_linear_time() -> None:
+    # 64,000 rows: building each column by repeated tuple concatenation took
+    # quadratic time; the bytes columns of the decision path match too
+    rows = list(product(range(40), repeat=3))
+    expected = [tuple(row[j] for row in rows) for j in range(3)]
+    assert _projections(40, 3) == expected
+    assert _projections(40, 3, bytes) == [bytes(col) for col in expected]

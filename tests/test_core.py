@@ -1,0 +1,98 @@
+"""graph.core against brute force: the retraction, the core property, and
+the least retract."""
+
+import random
+from itertools import product
+
+import pytest
+
+from helpers import hom_exists_brute, induced_brute, isomorphic, smallest_retract_brute
+from loopcond import (DiGraph, clique, condition_graph, core, cycle, directed_cycle,
+                      parse_condition, path)
+from loopcond import graph as gr
+
+
+def _symmetric_graphs(n: int, loops: bool):
+    """Every symmetric graph on n vertices, with loops or without."""
+    pairs = [(a, b) for a in range(n) for b in range(a + (not loops), n)]
+    for chosen in product((False, True), repeat=len(pairs)):
+        edges = {e for (a, b), keep in zip(pairs, chosen) if keep for e in ((a, b), (b, a))}
+        yield DiGraph(n, frozenset(edges))
+
+
+def _random_digraph(rng: random.Random, n: int) -> DiGraph:
+    p = rng.choice((0.2, 0.35, 0.5))
+    return DiGraph(n, frozenset((a, b) for a in range(n) for b in range(n)
+                                if rng.random() < p and (a != b or rng.random() < 0.2)))
+
+
+def _check_core(g: DiGraph) -> None:
+    r = core(g)
+    c = r.target
+    kept = [int(name) for name in c.labels]
+    # C is the subgraph of g induced on ascending vertices, named as in g
+    assert kept == sorted(set(kept)) and c.labels == tuple(g.label(v) for v in kept)
+    assert c.edges == induced_brute(g, kept).edges
+    # a retraction: a homomorphism g -> C fixing every vertex of C
+    assert r.source == g and r.is_valid()
+    assert all(r.mapping[v] == i for i, v in enumerate(kept))
+    # C is a core: it maps to none of its proper induced subgraphs
+    for v in range(c.n):
+        assert not hom_exists_brute(c, induced_brute(c, [u for u in range(c.n) if u != v]))
+    assert isomorphic(c, smallest_retract_brute(g))
+
+
+def test_core_of_every_small_symmetric_graph() -> None:
+    graphs = [g for n in range(5) for g in _symmetric_graphs(n, loops=True)]
+    graphs += _symmetric_graphs(5, loops=False)
+    for g in graphs:
+        _check_core(g)
+
+
+def test_core_of_random_directed_graphs() -> None:
+    rng = random.Random(19)
+    shrunk = 0
+    for _ in range(400):
+        g = _random_digraph(rng, rng.randint(1, 5))
+        _check_core(g)
+        shrunk += core(g).target.n < g.n
+    assert shrunk >= 100
+
+
+@pytest.mark.parametrize("g", [path(4), cycle(4), cycle(6),
+                               DiGraph.from_edges(4, [(0, 1), (1, 0), (0, 2), (2, 0),
+                                                      (0, 3), (3, 0)])],
+                         ids=["P4", "C4", "C6", "K1,3"])
+def test_bipartite_graphs_retract_onto_one_edge(g) -> None:
+    c = core(g).target
+    assert c.n == 2 and c.edges == clique(2).edges
+
+
+@pytest.mark.parametrize("g", [cycle(5), cycle(7), clique(3), clique(4), directed_cycle(4)],
+                         ids=["C5", "C7", "K3", "K4", "directed C4"])
+def test_cores_are_their_own_core(g) -> None:
+    r = core(g)
+    assert r.target.edges == g.edges and r.mapping == tuple(range(g.n))
+
+
+def test_pendant_vertex_retracts_onto_the_cycle() -> None:
+    g = DiGraph.from_edges(6, cycle(5).edges | {(0, 5), (5, 0)})
+    r = core(g)
+    assert r.target.n == 5 and isomorphic(r.target, cycle(5))
+    assert r.mapping[:5] == tuple(range(5)) and r.mapping[5] in (1, 4)
+
+
+def test_core_keeps_the_condition_variable_names() -> None:
+    g = condition_graph(parse_condition("t(x,y,y,z,z,w)=t(y,x,z,y,w,z)"))  # path x-y-z-w
+    c = core(g).target
+    assert c.labels == ("x", "y") and c.edges == {(0, 1), (1, 0)}
+
+
+@pytest.mark.parametrize("g", [cycle(7), clique(3), clique(4), path(6),
+                               DiGraph(3, frozenset({(0, 1), (1, 1)}))],
+                         ids=["C7", "K3", "K4", "P6", "loop"])
+def test_shortcuts_answer_without_a_search(monkeypatch, g) -> None:
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+    monkeypatch.setattr(gr, "find_hom", no_search)
+    assert core(g).is_valid()

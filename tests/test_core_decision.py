@@ -1,0 +1,125 @@
+"""Decisions that go through the core of the condition graph: refutations
+carried by the retraction, witnesses carried along the inclusion, and the
+soundness checks on both."""
+
+import random
+import time
+
+from helpers import decide_by_subpower, random_algebra, witness_holds_brute
+from loopcond import (DiGraph, Homomorphism, LoopCondition, NotSatisfied, ResourceExceeded,
+                      Satisfied, algebra_to_json, condition_from_graph, condition_graph,
+                      core, cycle, decision_to_json_dict, mod_affine_algebra, path,
+                      satisfies_condition)
+from loopcond import algebra as alg
+from loopcond.cli import main
+
+
+def _non_core_condition(rng: random.Random) -> LoopCondition:
+    """A loopless condition on 3 or 4 variables whose graph is not a core: a
+    bipartite graph, a triangle with a pendant edge (some edges possibly
+    one way only), or a directed graph."""
+    while True:
+        kind = rng.choice(("bipartite", "pendant", "directed"))
+        n = 4 if kind == "pendant" else rng.randint(3, 4)
+        if kind == "bipartite":
+            left = rng.randint(1, n - 1)
+            edges = {e for a in range(left) for b in range(left, n) if rng.random() < 0.6
+                     for e in ((a, b), (b, a))}
+        elif kind == "pendant":
+            edges = {(a, b) for a, b in cycle(3).edges | {(2, 3), (3, 2)}
+                     if a < b or rng.random() < 0.7}
+        else:
+            edges = {(a, b) for a in range(n) for b in range(n)
+                     if a != b and rng.random() < 0.4}
+        names = [f"v{i}" for i in range(n)]
+        rng.shuffle(names)
+        g = DiGraph.from_edges(n, edges, names)
+        if {v for e in edges for v in e} == set(range(n)) and core(g).target.n < n:
+            return condition_from_graph(g, "t")
+
+
+def test_core_decisions_match_row_free_oracle() -> None:
+    rng = random.Random(47)
+    compared = {"Satisfied": 0, "NotSatisfied": 0}
+    for _ in range(200):
+        a = random_algebra(rng, max_size=3)
+        c = _non_core_condition(rng)
+        if a.size ** len(c.variables) > 27:
+            continue
+        cap = {1: 400, 2: 150, 3: 30}[max(op.arity for op in a.operations)]
+        decision = satisfies_condition(a, c, max_elements=cap)
+        if isinstance(decision, Satisfied):
+            assert witness_holds_brute(a, c, decision.term)
+        expected = decide_by_subpower(a, c, cap)
+        if expected is None or isinstance(decision, ResourceExceeded):
+            continue
+        assert type(decision).__name__ == expected
+        compared[expected] += 1
+    assert compared["Satisfied"] >= 80 and compared["NotSatisfied"] >= 15
+
+
+def test_even_cycle_over_z2_is_refuted_through_its_core() -> None:
+    # the full closure on C6 over Z2 takes minutes; its core is one edge,
+    # and Z2 has no commutative term
+    start = time.perf_counter()
+    decision = satisfies_condition(mod_affine_algebra(2), condition_from_graph(cycle(6)))
+    assert isinstance(decision, NotSatisfied)
+    assert time.perf_counter() - start < 10
+
+
+def test_even_cycle_over_z2_exits_1_from_the_cli(tmp_path, capsys) -> None:
+    z2 = tmp_path / "z2.json"
+    z2.write_text(algebra_to_json(mod_affine_algebra(2)))
+    c6 = condition_from_graph(cycle(6))
+    identity = f"t({','.join(c6.lhs)})=t({','.join(c6.rhs)})"
+    assert main(["satisfies", "--algebra", str(z2), identity]) == 1
+    assert capsys.readouterr().out == "NotSatisfied\n"
+
+
+def test_core_witness_is_carried_where_the_graph_hits_the_cap() -> None:
+    z3, c6 = mod_affine_algebra(3), condition_from_graph(cycle(6))
+    assert isinstance(alg._refine(z3, c6, 5), ResourceExceeded)
+    decision = satisfies_condition(z3, c6, max_elements=5)
+    assert isinstance(decision, Satisfied)
+    assert witness_holds_brute(z3, c6, decision.term)
+
+
+def test_a_witness_the_graph_finds_is_its_own() -> None:
+    # where G's own closure answers, its witness is returned, not the core's
+    z3, p3 = mod_affine_algebra(3), condition_from_graph(path(3))
+    assert core(condition_graph(p3)).target.n == 2
+    assert decision_to_json_dict(satisfies_condition(z3, p3)) == \
+        decision_to_json_dict(alg._refine(z3, p3, alg.DEFAULT_MAX_ELEMENTS))
+
+
+def _c6_cli(tmp_path, monkeypatch, fake_core):
+    z2 = tmp_path / "z2.json"
+    z2.write_text(algebra_to_json(mod_affine_algebra(2)))
+    monkeypatch.setattr(alg, "core", fake_core)
+    c6 = condition_from_graph(cycle(6))
+    return main(["satisfies", "--algebra", str(z2),
+                 f"t({','.join(c6.lhs)})=t({','.join(c6.rhs)})"])
+
+
+def test_a_retraction_that_is_no_homomorphism_exits_3(tmp_path, monkeypatch, capsys) -> None:
+    real_core = alg.core
+
+    def bogus_core(g):
+        r = real_core(g)
+        return Homomorphism(g, r.target, (0,) * g.n)  # sends every edge to a loop
+    assert _c6_cli(tmp_path, monkeypatch, bogus_core) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_a_core_that_is_no_subgraph_exits_3(tmp_path, monkeypatch, capsys) -> None:
+    # every graph maps to a looped vertex, but the loop is not in C6: the
+    # loop's condition holds and C6's does not, which must not pass silently
+    def loop_core(g):
+        return Homomorphism(g, DiGraph(1, frozenset({(0, 0)}), g.labels[:1]), (0,) * g.n)
+    assert _c6_cli(tmp_path, monkeypatch, loop_core) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "Traceback" not in captured.err

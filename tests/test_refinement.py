@@ -4,23 +4,12 @@ refines no rows and against decisions frozen before refinement existed."""
 import json
 import random
 
-from helpers import decide_by_subpower, witness_holds_brute
+from helpers import decide_by_subpower, random_algebra, witness_holds_brute
 from loopcond import (COMMUTATIVITY_IDENTITY, SIGGERS_IDENTITY, FiniteAlgebra,
-                      LoopCondition, Operation, ResourceExceeded, Satisfied, clique,
+                      LoopCondition, ResourceExceeded, Satisfied, clique,
                       condition_from_graph, cycle, decision_to_json_dict,
                       mod_affine_algebra, parse_condition, path, projection_algebra,
                       satisfies_condition)
-
-
-def _random_algebra(rng: random.Random, max_size: int) -> FiniteAlgebra:
-    """One or two operations of arity 1-3, the second possibly 0-ary."""
-    size = rng.randint(2, max_size)
-    ops = []
-    for i in range(rng.randint(1, 2)):
-        arity = rng.randint(0 if i else 1, 3)
-        ops.append(Operation(f"f{i}", arity,
-                             tuple(rng.randrange(size) for _ in range(size ** arity))))
-    return FiniteAlgebra(size, tuple(ops))
 
 
 def _loopless_condition(rng: random.Random, variables: int) -> LoopCondition:
@@ -33,7 +22,7 @@ def test_decision_kind_matches_row_free_oracle() -> None:
     rng = random.Random(31)
     compared = {"Satisfied": 0, "NotSatisfied": 0}
     for _ in range(150):
-        a = _random_algebra(rng, max_size=4)
+        a = random_algebra(rng, max_size=4)
         c = _loopless_condition(rng, rng.randint(2, 3 if a.size < 4 else 2))
         cap = {1: 400, 2: 150, 3: 30}[max(op.arity for op in a.operations)]
         decision = satisfies_condition(a, c, max_elements=cap)
@@ -63,7 +52,7 @@ def _corpus() -> list[tuple[FiniteAlgebra, LoopCondition, int]]:
               if a.size ** len(c.variables) < 256]
     rng = random.Random(6)
     for _ in range(60):
-        a = _random_algebra(rng, max_size=3)
+        a = random_algebra(rng, max_size=3)
         c = _loopless_condition(rng, rng.randint(2, 3))
         corpus.append((a, c, {1: 400, 2: 400, 3: 40}[max(op.arity for op in a.operations)]))
     return corpus
