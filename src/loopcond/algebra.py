@@ -32,8 +32,12 @@ argument column as one big integer, combines them by Horner's rule into an
 integer whose bytes are the rows' table indices, and maps those bytes
 through the table with `bytes.translate`: a few big-integer operations per
 composed table instead of a Python step per row.  Larger operations, 0-ary
-ones, and the tuple columns of larger universes, of `generate_subpower` and
-of `is_compatible` take the generic path, one list index per row.
+ones, and the tuple columns of larger universes and of `generate_subpower`
+(which `is_compatible` closes through) take the generic path.
+
+Term DAGs are walked by one fold, `_fold`, which visits each distinct
+subterm once: equality, hashing, composition, replay from provenance and
+re-indexing are folds.  Only `_render` walks each occurrence, to print.
 """
 
 from __future__ import annotations
@@ -167,8 +171,8 @@ class App:
     """An operation applied to argument terms.
 
     Equality, hashing and repr are structural, like a dataclass's, but walk
-    the term with explicit stacks, so terms of any depth compare and print;
-    shared subterms are compared and hashed once.
+    the term without recursion, so terms of any depth compare and print;
+    equality and hashing fold each shared subterm once.
     """
 
     op: str
@@ -177,40 +181,17 @@ class App:
     def __eq__(self, other) -> bool:
         if type(other) is not App:
             return NotImplemented
-        seen: set[tuple[int, int]] = set()
-        stack: list = [(self, other)]
-        while stack:
-            s, t = stack.pop()
-            if s is t or (id(s), id(t)) in seen:
-                continue
-            seen.add((id(s), id(t)))
-            if type(s) is not type(t):
-                return False
-            if type(s) is not App:
-                if s != t:
-                    return False
-            elif s.op != t.op or len(s.args) != len(t.args):
-                return False
-            else:
-                stack += zip(s.args, t.args)
-        return True
+        # equal terms fold to the same id: a Var is its own key, an App the
+        # pair of its op and its arguments' ids
+        ids: dict = {}
+
+        def structure_id(s, kids: list[int]) -> int:
+            return ids.setdefault((s.op, tuple(kids)) if type(s) is App else s, len(ids))
+        return _fold(self, _subterms, structure_id) == _fold(other, _subterms, structure_id)
 
     def __hash__(self) -> int:
-        done: dict[int, int] = {}
-        stack: list = [self]
-        while stack:
-            s = stack.pop()
-            if id(s) in done:
-                continue
-            if type(s) is not App:
-                done[id(s)] = hash(s)
-                continue
-            pending = [u for u in s.args if id(u) not in done]
-            if pending:
-                stack += [s, *pending]
-            else:
-                done[id(s)] = hash((s.op, tuple(done[id(u)] for u in s.args)))
-        return done[id(self)]
+        return _fold(self, _subterms, lambda s, kids: hash((s.op, tuple(kids)))
+                     if type(s) is App else hash(s))
 
     def __repr__(self) -> str:
         return _render(self, repr, lambda s: f"App(op={s.op!r}, args=(", ", ",
@@ -218,6 +199,31 @@ class App:
 
 
 Term = Union[Var, App]
+
+
+def _subterms(s: Term) -> tuple[Term, ...]:
+    return s.args if type(s) is App else ()
+
+
+def _fold(root, children: Callable, combine: Callable):
+    """combine(node, [values of children(node)]) at root, children first.
+
+    The one walk of term DAGs.  Each distinct node (by id) is visited once,
+    and children(node) is called at its first visit; the walk keeps an
+    explicit stack, so a DAG of any depth folds in time linear in its size.
+    The last child is visited first.
+    """
+    done: dict[int, object] = {}
+    stack: list = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:
+            done[id(node)] = combine(node, [done[id(k)] for k in kids])
+        elif id(node) not in done:
+            kids = children(node)
+            stack.append((node, kids))
+            stack += [(k, None) for k in kids if id(k) not in done]
+    return done[id(root)]
 
 
 def _render(t: Term, leaf: Callable, opening: Callable, sep: str,
@@ -277,39 +283,38 @@ def _term_column(a: FiniteAlgebra, t: Term, leaves, length: int, kind: type) -> 
     """The `length`-row table of t, leaf x(i+1) reading the column leaves[i],
     as a column of type `kind` like the leaves.
 
-    Walks the term DAG once, composing each distinct subterm (by id) with
+    Folds the term DAG, composing each distinct subterm (by id) once with
     the table kernel, and raises BadTerm for an unknown operation, a wrong
     argument count or a leaf out of range.
     """
     ops = {op.name: op for op in a.operations}
-    done: dict[int, Column] = {}
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if id(s) in done:
-            continue
+
+    def checked(s: Term) -> tuple[Term, ...]:
         if isinstance(s, Var):
             if not 0 <= s.index < len(leaves):
                 raise BadTerm(f"leaf x{s.index + 1} outside arity {len(leaves)}")
-            done[id(s)] = leaves[s.index]
-            continue
+            return ()
         op = ops.get(s.op)
         if op is None:
             raise BadTerm(f"unknown operation {s.op!r}")
         if len(s.args) != op.arity:
             raise BadTerm(f"{s.op} expects {op.arity} arguments, got {len(s.args)}")
-        pending = [u for u in s.args if id(u) not in done]
-        if pending:
-            stack += [s, *pending]
-        else:
-            cols = [done[id(u)] for u in s.args]
-            done[id(s)] = _apply_columns(op, a.size, cols, length, kind)
-    return done[id(t)]
+        return s.args
+
+    def compose(s: Term, cols: list[Column]) -> Column:
+        if isinstance(s, Var):
+            return leaves[s.index]
+        return _apply_columns(ops[s.op], a.size, cols, length, kind)
+    return _fold(t, checked, compose)
 
 
 def evaluate_term(a: FiniteAlgebra, t: Term, args: tuple[int, ...]) -> int:
-    """Value of t at one row of arguments; raises BadTerm for an unknown
-    operation, a wrong argument count or a leaf outside args."""
+    """Value of t at one row of arguments; raises ValueError for an argument
+    outside range(a.size), and BadTerm for an unknown operation, a wrong
+    argument count or a leaf outside args."""
+    for x in args:
+        if not 0 <= x < a.size:
+            raise ValueError(f"argument {x} is not in range({a.size})")
     return _term_column(a, t, [(x,) for x in args], 1, tuple)[0]
 
 
@@ -363,16 +368,12 @@ def verify_witness(a: FiniteAlgebra, c: LoopCondition, t: Term) -> bool:
 # compatibility and subpower closure
 
 def is_compatible(a: FiniteAlgebra, r: Relation) -> bool:
-    """True iff r is closed under every operation applied coordinatewise."""
+    """True iff r is closed under every operation applied coordinatewise:
+    its closure, capped at |r| elements, stops at the first new tuple."""
     if r.universe_size != a.size:
         raise UniverseMismatch(
             f"relation over {r.universe_size} elements, algebra over {a.size}")
-    tuples = r.sorted_tuples()
-    for op in a.operations:
-        for args in product(tuples, repeat=op.arity):
-            if _apply_columns(op, a.size, args, r.arity, tuple) not in r.tuples:
-                return False
-    return True
+    return generate_subpower(a, r.arity, r.sorted_tuples(), cap=len(r.tuples)).complete
 
 
 @dataclass
@@ -490,27 +491,17 @@ def decision_to_json_dict(d: Decision) -> dict:
 
 def _term_from_provenance(item, provenance) -> Term:
     """The term that generated item: Var(i) for a seed tagged ("pos", i),
-    op(parents) for one tagged (op, parents).  Walks the provenance with an
-    explicit stack and builds one Term per item, so shared parents give a
-    shared DAG and any depth replays."""
-    built: dict = {}
-    stack = [item]
-    while stack:
-        x = stack[-1]
-        if x in built:
-            stack.pop()
-            continue
+    op(parents) for one tagged (op, parents).  Folds the provenance, so any
+    depth replays, into one Term per item object; the parents are the
+    closure's own item objects, so shared parents give a shared DAG."""
+    def parents(x) -> tuple:
         tag, payload = provenance[x]
-        if tag == "pos":
-            built[x] = Var(payload)
-        else:
-            pending = [p for p in payload if p not in built]
-            if pending:
-                stack += pending
-                continue
-            built[x] = App(tag, tuple(built[p] for p in payload))
-        stack.pop()
-    return built[item]
+        return () if tag == "pos" else payload
+
+    def build(x, terms: list[Term]) -> Term:
+        tag, payload = provenance[x]
+        return Var(payload) if tag == "pos" else App(tag, tuple(terms))
+    return _fold(item, parents, build)
 
 
 def _first_positions(c: LoopCondition) -> dict[tuple[str, str], int]:
@@ -594,24 +585,10 @@ def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:
 
 
 def _reindex(t: Term, positions: list[int]) -> Term:
-    """t with every leaf Var(j) replaced by Var(positions[j]).  Walks the
-    term DAG with an explicit stack and rebuilds each distinct subterm (by
-    id) once, so sharing is kept and any depth works."""
-    built: dict[int, Term] = {}
-    stack = [t]
-    while stack:
-        s = stack[-1]
-        if id(s) in built:
-            stack.pop()
-        elif isinstance(s, Var):
-            built[id(s)] = Var(positions[s.index])
-        else:
-            pending = [u for u in s.args if id(u) not in built]
-            if pending:
-                stack += pending
-            else:
-                built[id(s)] = App(s.op, tuple(built[id(u)] for u in s.args))
-    return built[id(t)]
+    """t with every leaf Var(j) replaced by Var(positions[j]), rebuilt by one
+    fold, so sharing is kept and any depth works."""
+    return _fold(t, _subterms, lambda s, args: App(s.op, tuple(args))
+                 if type(s) is App else Var(positions[s.index]))
 
 
 def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,

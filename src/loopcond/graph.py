@@ -6,7 +6,6 @@ Graphs are immutable; every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
@@ -86,11 +85,29 @@ def is_symmetric(g: DiGraph) -> bool:
     return all((b, a) in g.edges for a, b in g.edges)
 
 
-def _undirected_adjacency(g: DiGraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in sorted(g.edges):
-        adj[a].append(b)
-    return adj
+def _potentials(g: DiGraph) -> tuple[list[int], int]:
+    """Potentials of g's vertices and the number of its weak components: a
+    component's least vertex has potential 0, and a spanning tree walked from
+    it adds 1 along an edge and subtracts 1 against one."""
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        steps[a].append((b, 1))
+        steps[b].append((a, -1))
+    pot: list = [None] * g.n
+    components = 0
+    for s in range(g.n):
+        if pot[s] is not None:
+            continue
+        components += 1
+        pot[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for w, step in steps[v]:
+                if pot[w] is None:
+                    pot[w] = pot[v] + step
+                    stack.append(w)
+    return pot, components
 
 
 def is_bipartite(g: DiGraph) -> bool:
@@ -102,25 +119,12 @@ def is_bipartite(g: DiGraph) -> bool:
 
 def _two_colouring(g: DiGraph) -> list[int] | None:
     """A proper 0/1 colouring of a symmetric graph, each component's least
-    vertex coloured 0, or None if it has an odd cycle (a loop is one)."""
-    if has_loop(g):
+    vertex coloured 0, or None if it has an odd cycle (a loop is one): the
+    potentials' parities, unless an edge joins two of equal parity."""
+    pot, _ = _potentials(g)
+    if any((pot[a] - pot[b]) % 2 == 0 for a, b in g.edges):
         return None
-    adj = _undirected_adjacency(g)
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
+    return [p % 2 for p in pot]
 
 
 def odd_girth(g: DiGraph) -> int | None:
@@ -166,49 +170,20 @@ def is_smooth(g: DiGraph) -> bool:
 
 
 def is_weakly_connected(g: DiGraph) -> bool:
-    if g.n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return all(seen)
+    return _potentials(g)[1] <= 1
 
 
 def algebraic_length(g: DiGraph) -> int:
     """gcd of closed-walk discrepancies (forward steps minus backward steps).
 
-    Computed by spanning-tree potentials: traversing an edge forward costs +1,
-    backward -1; each edge (a, b) then contributes |pot[a] + 1 - pot[b]|.
-    A homomorphism g -> directed k-cycle exists iff k divides the result,
-    where every k divides 0.
+    Computed by spanning-tree potentials (_potentials): each edge (a, b)
+    contributes |pot[a] + 1 - pot[b]|.  A homomorphism g -> directed k-cycle
+    exists iff k divides the result, where every k divides 0.
     """
     if g.n == 0 or not g.edges:
         raise NotWeaklyConnected("algebraic length needs at least one edge")
-    und: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        und[a].append((b, 1))
-        if a != b:
-            und[b].append((a, -1))
-    pot: list[int | None] = [None] * g.n
-    pot[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, step in und[v]:
-            if pot[w] is None:
-                pot[w] = pot[v] + step
-                stack.append(w)
-    if any(p is None for p in pot):
+    pot, components = _potentials(g)
+    if components > 1:
         raise NotWeaklyConnected("graph is not weakly connected")
     d = 0
     for a, b in g.edges:

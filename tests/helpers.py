@@ -25,6 +25,16 @@ def hom_exists_brute(g: DiGraph, h: DiGraph) -> bool:
                for m in product(range(h.n), repeat=g.n))
 
 
+def cycle_hom_exists_brute(g: DiGraph, k: int) -> bool:
+    """Whether g maps to the directed k-cycle, by enumerating the maps into
+    Z_k that send vertex 0 to 0 and checking that every edge steps by +1.
+    Rotating a homomorphism keeps it one, so fixing vertex 0 loses none,
+    and only k^(n-1) maps are tried."""
+    return any(all((m[b] - m[a] - 1) % k == 0 for a, b in g.edges)
+               for rest in product(range(k), repeat=max(g.n - 1, 0))
+               for m in [(0, *rest)])
+
+
 def induced_brute(g: DiGraph, kept) -> DiGraph:
     """The subgraph of g induced on the vertices `kept`, in that order."""
     kept = list(kept)
@@ -92,6 +102,20 @@ def odd_girth_brute(g: DiGraph) -> int | None:
     return None
 
 
+def weakly_reachable_brute(g: DiGraph, s: int) -> set[int]:
+    """The vertices joined to s by a path that ignores edge directions,
+    by full passes over the edges until nothing new appears."""
+    reached = {s}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in g.edges:
+            if (a in reached) != (b in reached):
+                reached |= {a, b}
+                changed = True
+    return reached
+
+
 def subpower_brute(algebra, k: int, generators) -> set[tuple[int, ...]]:
     """Naive fixpoint closure: full passes until nothing new appears."""
     current = {tuple(g) for g in generators}
@@ -115,6 +139,17 @@ def term_value_brute(algebra, t, args: tuple[int, ...]) -> int:
         return args[t.index]
     return algebra.apply(algebra.operation(t.op),
                          tuple(term_value_brute(algebra, s, args) for s in t.args))
+
+
+def term_eq_brute(s, t) -> bool:
+    """Structural equality as a dataclass defines it, recursing over both
+    terms as trees."""
+    if type(s) is not type(t):
+        return False
+    if isinstance(s, Var):
+        return s.index == t.index
+    return s.op == t.op and len(s.args) == len(t.args) and \
+        all(term_eq_brute(x, y) for x, y in zip(s.args, t.args))
 
 
 def witness_holds_brute(algebra, c, t) -> bool:

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from helpers import subpower_brute, term_value_brute, witness_holds_brute
+from helpers import (random_algebra, subpower_brute, term_eq_brute, term_value_brute,
+                     witness_holds_brute)
 from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
                       ExponentCap, FiniteAlgebra, LoopCondition, NotSatisfied, Operation,
                       Relation, ResourceExceeded, SIGGERS_IDENTITY, Satisfied,
@@ -76,6 +77,22 @@ def test_is_compatible_examples() -> None:
     assert not is_compatible(Z2, Relation(2, 2, frozenset({(0, 0), (1, 1), (0, 1)})))
     with pytest.raises(UniverseMismatch):
         is_compatible(Z2, Relation.full(3, 1))
+
+
+def test_is_compatible_matches_brute_closure() -> None:
+    # r is compatible iff closing it adds nothing
+    rng = random.Random(3030)
+    outcomes = set()
+    for _ in range(400):
+        a = random_algebra(rng, 3)
+        k = rng.randint(0, 3 if a.size == 2 else 2)  # the brute closure is slow on 27 tuples
+        density = rng.random()
+        r = Relation(a.size, k, frozenset(t for t in product(range(a.size), repeat=k)
+                                          if rng.random() < density))
+        expected = subpower_brute(a, k, r.tuples) == r.tuples
+        assert is_compatible(a, r) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_generate_subpower_spec_examples() -> None:
@@ -379,6 +396,78 @@ def test_shared_dag_term_is_evaluated_once_per_subterm() -> None:
     t0 = time.perf_counter()
     assert evaluate_term(Z2, term, (0, 1)) == 1  # m(t,t,y) = y over Z2
     assert not verify_witness(Z2, COMMUT, term)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_evaluate_term_rejects_values_outside_the_universe() -> None:
+    term = App("m", (Var(0), Var(1), Var(2)))
+    for row in ((0, 0, 3), (0, 0, -1), (5, 5, 5)):
+        with pytest.raises(ValueError, match="range"):
+            evaluate_term(Z3, term, row)
+    with pytest.raises(ValueError, match="range"):
+        evaluate_term(Z3, Var(0), (99,))
+    assert evaluate_term(Z3, term, (0, 0, 2)) == 1
+
+
+def _tree_copy(t, bump: int = -1):
+    """t rebuilt as a tree, every occurrence of a subterm a new object; the
+    leaf at position `bump` (in order, if there is one) gets another index."""
+    leaves = iter(range(1 << 30))
+
+    def copy(u):
+        if isinstance(u, Var):
+            return Var((u.index + 1) % 3 if next(leaves) == bump else u.index)
+        return App(u.op, tuple(copy(w) for w in u.args))
+    return copy(t)
+
+
+def _term_pair(rng: random.Random):
+    """Two terms over the ops f/2, g/2 and h/1 of different shapes: a Var
+    against an App, different ops, different argument counts, or the same
+    structure with different sharing, maybe with one leaf changed."""
+    pool = [Var(i) for i in range(3)]
+    for _ in range(rng.randint(1, 6)):
+        op, arity = rng.choice((("f", 2), ("g", 2), ("h", 1)))
+        pool.append(App(op, tuple(rng.choice(pool) for _ in range(arity))))
+    t = pool[-1]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return t, rng.choice(pool[:3])
+    if kind == 1:
+        return t, App("f" if t.op != "f" else "g", t.args)
+    if kind == 2:
+        return t, App(t.op, t.args + (Var(0),) if rng.random() < 0.5 else t.args[:-1])
+    return t, _tree_copy(t, rng.randrange(-4, 4))
+
+
+def test_term_equality_and_hash_match_recursive_reference() -> None:
+    rng = random.Random(5050)
+    outcomes = set()
+    for _ in range(2000):
+        s, t = _term_pair(rng)
+        expected = term_eq_brute(s, t)
+        outcomes.add(expected)
+        for x, y in ((s, t), (t, s)):
+            assert (x == y) == expected
+            assert (x != y) == (not expected)
+        if expected:
+            assert hash(s) == hash(t)
+    assert outcomes == {True, False}
+
+
+def test_shared_dag_term_hashes_and_compares_once_per_subterm() -> None:
+    def shared(depth: int, leaf: int):
+        term = Var(0)
+        for _ in range(depth):  # 2^depth tree nodes, depth distinct applications
+            term = App("m", (term, term, Var(leaf)))
+        return term
+
+    t0 = time.perf_counter()
+    term, copy = shared(40, 1), shared(40, 1)
+    assert term is not copy
+    assert hash(term) == hash(copy)
+    assert term == copy
+    assert term != shared(40, 2) and term != shared(39, 1)
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -1,15 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 
-from helpers import (all_homomorphisms, embedding_exists_brute, hom_exists_brute,
-                     isomorphic, odd_girth_brute)
+from helpers import (all_homomorphisms, cycle_hom_exists_brute, embedding_exists_brute,
+                     hom_exists_brute, isomorphic, odd_girth_brute, weakly_reachable_brute)
 from loopcond import (BudgetExceeded, DiGraph, GraphFormatError, NotSymmetric, NotWeaklyConnected,
                       SIGGERS_IDENTITY, algebraic_length, clique, condition_graph,
                       cycle, directed_cycle, find_embedding, find_hom,
                       graph_from_json, graph_to_json, has_loop, is_bipartite,
                       is_smooth, is_symmetric, is_weakly_connected, odd_girth,
                       parse_condition, path, petersen, symmetric_part, to_dot)
+from loopcond.graph import _two_colouring
 
 SMOOTH_ORIENTED = condition_graph(parse_condition("s(a,r,e,a)=s(r,a,r,e)"))
 
@@ -186,6 +188,61 @@ def test_algebraic_length_contract_against_hom_search() -> None:
         for k in range(2, 9):
             expected = (d == 0) or (d % k == 0)
             assert (find_hom(g, directed_cycle(k)) is not None) == expected
+
+
+def _graphs_for_brute_force():
+    """Every digraph on at most 3 vertices, loops included, then seeded
+    random ones on 4-7 vertices.  Half of the random ones only keep edges
+    (a, b) with level[b] - level[a] = 1 mod j for random levels, so their
+    algebraic lengths are multiples of j, not almost always 1."""
+    for n in range(4):
+        pairs = list(product(range(n), repeat=2))
+        for bits in range(1 << len(pairs)):
+            yield DiGraph(n, frozenset(e for i, e in enumerate(pairs) if bits >> i & 1))
+    rng = random.Random(1010)
+    for n, count in ((4, 60), (5, 40), (6, 20), (7, 6)):
+        for i in range(count):
+            g = _random_graph(rng, n, rng.choice((1.2, 1.6, 2.5)) / n)
+            if i % 2:
+                j = rng.randint(2, n)
+                level = [rng.randrange(j) for _ in range(n)]
+                g = DiGraph(n, frozenset((a, b) for a, b in g.edges
+                                         if (level[b] - level[a] - 1) % j == 0))
+            yield g
+
+
+def test_connectivity_and_algebraic_length_match_brute_force() -> None:
+    lengths = set()
+    for g in _graphs_for_brute_force():
+        connected = g.n == 0 or weakly_reachable_brute(g, 0) == set(range(g.n))
+        assert is_weakly_connected(g) == connected
+        if not g.edges or not connected:
+            with pytest.raises(NotWeaklyConnected):
+                algebraic_length(g)
+            continue
+        d = algebraic_length(g)
+        lengths.add(d)
+        for k in range(1, g.n + 2):
+            exists = cycle_hom_exists_brute(g, k)
+            assert (d % k == 0) == exists
+            if g.n <= 5:  # the rotation-reduced oracle agrees with the plain one
+                assert exists == hom_exists_brute(g, directed_cycle(k))
+    assert {0, 1, 2, 3} <= lengths
+
+
+def test_two_colouring_matches_brute_force() -> None:
+    bipartite = 0
+    for g in _graphs_for_brute_force():
+        s = DiGraph(g.n, g.edges | {(b, a) for a, b in g.edges})
+        colour = _two_colouring(s)
+        assert (colour is None) == (odd_girth_brute(s) is not None)
+        if colour is None:
+            continue
+        bipartite += 1
+        assert all(colour[a] != colour[b] for a, b in s.edges)
+        assert all(colour[v] == 0 for v in range(s.n)
+                   if min(weakly_reachable_brute(s, v)) == v)
+    assert bipartite > 100
 
 
 def test_families() -> None:

@@ -88,3 +88,17 @@ def test_only_the_kernel_reads_table_entries() -> None:
              for node in ast.walk(tree)
              if reads_entries(node) and id(node) not in inside]
     assert found == []
+
+
+def test_term_dags_are_walked_by_fold() -> None:
+    # one walker: algebra._fold visits each distinct subterm once, and every
+    # other walk of a term is a fold; _render alone walks each occurrence,
+    # as it prints one
+    found = sorted({fn.name
+                    for name, tree in _trees() if name == "algebra.py"
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name != "_render"
+                    for loop in ast.walk(fn) if isinstance(loop, ast.While)
+                    for node in ast.walk(loop)
+                    if isinstance(node, ast.Attribute) and node.attr == "args"})
+    assert found == []
