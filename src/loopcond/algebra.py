@@ -741,26 +741,20 @@ def affine_satisfies(m: int, c: LoopCondition) -> tuple[int, ...] | None:
     The term clone of (Z_m, x+y-z) is exactly the maps sum(c_i x_i) with
     sum(c_i) = 1 (mod m), so the condition holds there iff some such vector
     balances each variable's left and right occurrences.  Prime moduli are
-    solved by elimination, composite ones by exhaustive search; moduli
-    from about 3.3e24 up raise ValueError.
+    solved by elimination.  A composite one is refuted mod each prime
+    factor in _PRIME_BASES (a solution mod m is one mod p), and otherwise
+    solved by exhaustive search; moduli from about 3.3e24 up raise ValueError.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    rows = []
-    rhs = []
-    for w in c.variables:
-        row = [0] * c.arity
-        for i in range(c.arity):
-            if c.lhs[i] == w:
-                row[i] += 1
-            if c.rhs[i] == w:
-                row[i] -= 1
-        rows.append(row)
-        rhs.append(0)
+    rows = [[(u == w) - (v == w) for u, v in zip(c.lhs, c.rhs)] for w in c.variables]
     rows.append([1] * c.arity)
-    rhs.append(1)
+    rhs = [0] * len(c.variables) + [1]
     if _is_prime(m):
         return _solve_mod_prime(rows, rhs, c.arity, m)
+    if any(m % p == 0 and _solve_mod_prime(rows, rhs, c.arity, p) is None
+           for p in _PRIME_BASES):
+        return None
     if m ** c.arity > 10**7:
         raise ValueError("composite modulus too large for exhaustive search")
     for cand in product(range(m), repeat=c.arity):

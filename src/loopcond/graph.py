@@ -200,7 +200,10 @@ def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], list[lis
     arcs[v] holds (table, cache, neighbours): when v takes value x, each
     neighbour may only take values in table[x].  Edges on the same ordered
     pair share one table, and pairs with equal tables share one group, so
-    the union cache serves a whole slot for the length of one search.
+    the union cache serves a whole slot for the length of one search.  If
+    every two variables have tables that keep no value (x not in table[x]),
+    their values differ pairwise, so by pigeonhole every domain is emptied
+    when the domains together hold fewer values than there are variables.
     """
     size = targets[0].n
     succ = [[0] * size for _ in targets]
@@ -219,6 +222,10 @@ def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], list[lis
             table = pair_tables.get(key)
             pair_tables[key] = list(rows) if table is None else \
                 [x & y for x, y in zip(table, rows)]
+    if len(pair_tables) == n * (n - 1) \
+            and sum(any(d >> x & 1 for d in domains) for x in range(size)) < n \
+            and not any(r >> x & 1 for t in pair_tables.values() for x, r in enumerate(t)):
+        domains = [0] * n
     groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(n)]
     for (a, b), table in sorted(pair_tables.items()):
         groups[a].setdefault(tuple(table), []).append(b)
@@ -229,20 +236,21 @@ def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], list[lis
 
 
 def _arc_search(domains: list[int], arcs: list[list], order: list[int], budget: int,
-                *, distinct: bool = False, project: int = 0):
+                *, project: int = 0):
     """Yield solutions of a binary constraint network, depth first.
 
     The search core behind find_hom, find_embedding, ppdef.evaluate and
-    ppdef.witness.  Variables are assigned in `order`, values in ascending order, and
-    each value tried counts one expansion against `budget`.  Arc consistency
-    is maintained after every assignment; with `distinct`, a variable fixed
-    to a value also removes it from every other domain.  Both remove only
+    ppdef.witness.  Variables are assigned in `order`, values in ascending
+    order, and each value tried counts one expansion against `budget`.  Arc
+    consistency is maintained after every assignment; it removes only
     values that extend to no solution, so the first solution yielded is the
-    least in that order.  The search yields one solution for each
-    assignment of the first `project` variables in `order` that extends to
-    one: after a solution it backtracks to variable project - 1.
-    The search is iterative (an explicit stack and an undo trail), so its
-    depth is not bounded by the Python recursion limit.
+    least in that order.  Every constraint, "pairwise different" included,
+    is an arc of the network (see _network), not an option of the search.
+    The search yields one solution for each assignment of the first
+    `project` variables in `order` that extends to one: after a solution it
+    backtracks to variable project - 1.  The search is iterative (an
+    explicit stack and an undo trail), so its depth is not bounded by the
+    Python recursion limit.
     """
     n = len(order)
     dom = list(domains)
@@ -273,14 +281,6 @@ def _arc_search(domains: list[int], arcs: list[list], order: list[int], budget: 
                             return False
                         trail.append((u, du))
                         dom[u] = du & s
-                        queue.append(u)
-            if distinct and not dv & (dv - 1):
-                for u, du in enumerate(dom):
-                    if du & dv and u != v:
-                        if du == dv:
-                            return False
-                        trail.append((u, du))
-                        dom[u] = du ^ dv
                         queue.append(u)
         return True
 
@@ -326,9 +326,13 @@ def _arc_search(domains: list[int], arcs: list[list], order: list[int], budget: 
 
 def _checked_hom(g: DiGraph, h: DiGraph, budget: int,
                 injective: bool) -> Homomorphism | None:
-    domains, arcs = _network(g.n, ((0, a, b) for a, b in g.edges), [h])
-    mapping = next(_arc_search(domains, arcs, list(range(g.n)), budget,
-                               distinct=injective), None)
+    edges = [(0, a, b) for a, b in g.edges]
+    targets = [h]
+    if injective and h.n:  # clique(0) raises, and an empty h empties every domain
+        edges += [(1, a, b) for a in range(g.n) for b in range(g.n) if a != b]
+        targets.append(clique(h.n))
+    domains, arcs = _network(g.n, edges, targets)
+    mapping = next(_arc_search(domains, arcs, list(range(g.n)), budget), None)
     if mapping is None:
         return None
     hom = Homomorphism(g, h, mapping)
@@ -352,9 +356,9 @@ def find_hom(g: DiGraph, h: DiGraph, *,
 
 def find_embedding(g: DiGraph, h: DiGraph, *,
                    budget: int = DEFAULT_BUDGET) -> Homomorphism | None:
-    """Like find_hom but the witness must be injective (a subgraph copy)."""
-    if g.n > h.n:
-        return None
+    """Like find_hom but the witness must be injective (a subgraph copy): a
+    second slot joins every two vertices of g and targets the clique on h's
+    vertices, so _network's pigeonhole rule refutes a g larger than h."""
     return _checked_hom(g, h, budget, True)
 
 

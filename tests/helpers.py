@@ -64,6 +64,20 @@ def embedding_exists_brute(g: DiGraph, h: DiGraph) -> bool:
                for m in permutations(range(h.n), g.n))
 
 
+def affine_least_brute(m: int, c) -> tuple[int, ...] | None:
+    """The lexicographically least coefficient vector of an affine witness
+    over (Z_m, x+y-z), or None: coefficients summing to 1 mod m such that
+    each variable's left and right coefficients have equal sums mod m.
+    Enumerates all m^arity vectors in lexicographic order."""
+    for cand in product(range(m), repeat=c.arity):
+        if sum(cand) % m == 1 and all(
+                (sum(x for x, u in zip(cand, c.lhs) if u == w)
+                 - sum(x for x, v in zip(cand, c.rhs) if v == w)) % m == 0
+                for w in c.variables):
+            return cand
+    return None
+
+
 def evaluate_brute(gadget: Gadget, inputs: list[DiGraph]) -> Relation:
     """Gadget semantics by enumerating all |V|^|U| assignments."""
     universe = inputs[0].n

@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from helpers import (random_algebra, subpower_brute, term_eq_brute, term_value_brute,
-                     witness_holds_brute)
+from helpers import (affine_least_brute, random_algebra, subpower_brute, term_eq_brute,
+                     term_value_brute, witness_holds_brute)
 from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
                       ExponentCap, FiniteAlgebra, LoopCondition, NotSatisfied, Operation,
                       Relation, ResourceExceeded, SIGGERS_IDENTITY, Satisfied,
@@ -326,6 +326,33 @@ def test_affine_composite_and_prime_paths_agree_on_solvability() -> None:
                           tuple(rng.choice(names) for _ in range(arity)))
         if affine_satisfies(4, c) is not None:
             assert affine_satisfies(2, c) is not None
+
+
+def test_affine_composite_moduli_match_least_brute_solution() -> None:
+    # a system with no solution mod a prime factor p of m has none mod m,
+    # and is refuted before the m^arity search; the others keep its answer
+    rng = random.Random(505)
+    answers = set()
+    for _ in range(300):
+        m = rng.choice((4, 6, 8, 9, 10, 12, 15))
+        arity = rng.randint(1, 4 if m < 9 else 3)
+        names = [f"v{i}" for i in range(rng.randint(1, 3))]
+        c = LoopCondition("t", tuple(rng.choice(names) for _ in range(arity)),
+                          tuple(rng.choice(names) for _ in range(arity)))
+        expected = affine_least_brute(m, c)
+        assert affine_satisfies(m, c) == expected, (m, c)
+        answers.add(expected is None)
+    assert answers == {False, True}
+
+
+def test_affine_composite_modulus_refuted_by_a_prime_factor() -> None:
+    # the 12-cycle condition needs 12c = 1, which has no solution mod 2, so
+    # mod 4 and mod 2^40 need no exhaustive search
+    c = parse_condition("t(a,b,c,d,e,f,g,h,i,j,k,l)=t(b,c,d,e,f,g,h,i,j,k,l,a)")
+    assert affine_satisfies(4, c) is None
+    assert affine_satisfies(2 ** 40, c) is None
+    with pytest.raises(ValueError):  # solvable mod 5, and 25^12 candidates
+        affine_satisfies(25, c)
 
 
 def test_affine_rejects_bad_modulus() -> None:

@@ -10,7 +10,8 @@ import pytest
 
 import loopcond
 
-from loopcond import SIGGERS_IDENTITY, algebra_to_json, mod_affine_algebra
+from loopcond import (SIGGERS_IDENTITY, algebra_to_json, clique, condition_from_graph,
+                      mod_affine_algebra)
 from loopcond.cli import main
 
 SMOOTH = "s(a,r,e,a)=s(r,a,r,e)"
@@ -72,6 +73,15 @@ def test_implies_exit_codes(capsys) -> None:
     assert "not established" in capsys.readouterr().out
     assert main(["implies", SIGGERS_IDENTITY, FIVE, "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["found"] is False
+
+
+def test_implies_between_clique_conditions_needs_no_budget(capsys) -> None:
+    # K10 -> K9 is refuted by pigeonhole before the search spends anything
+    k10, k9 = (condition_from_graph(clique(n)) for n in (10, 9))
+    argv = [f"t({','.join(c.lhs)})=t({','.join(c.rhs)})" for c in (k10, k9)]
+    assert main(["implies", *argv, "--budget", "0"]) == 1
+    assert capsys.readouterr().out == ("not established: no graph homomorphism exists "
+                                       "(a reduction proof may still apply)\n")
 
 
 def test_implies_prints_the_variable_map(capsys) -> None:
@@ -147,6 +157,12 @@ def test_satisfies_affine_only(capsys) -> None:
     data = json.loads(capsys.readouterr().out)
     assert data["affine_coefficients"] == [2, 2]
     assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", "2"]) == 1
+
+
+def test_satisfies_affine_composite_modulus_refuted_by_a_prime_factor(capsys) -> None:
+    cycle12 = "t(a,b,c,d,e,f,g,h,i,j,k,l)=t(b,c,d,e,f,g,h,i,j,k,l,a)"
+    assert main(["satisfies", cycle12, "--affine", "4"]) == 1
+    assert capsys.readouterr().out == "affine mod 4: no solution\n"
 
 
 def test_satisfies_affine_large_modulus(capsys) -> None:

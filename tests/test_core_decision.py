@@ -7,9 +7,9 @@ import time
 
 from helpers import decide_by_subpower, random_algebra, witness_holds_brute
 from loopcond import (DiGraph, Homomorphism, LoopCondition, NotSatisfied, ResourceExceeded,
-                      Satisfied, algebra_to_json, condition_from_graph, condition_graph,
-                      core, cycle, decision_to_json_dict, mod_affine_algebra, path,
-                      satisfies_condition)
+                      Satisfied, algebra_to_json, clique, condition_from_graph,
+                      condition_graph, core, cycle, decision_to_json_dict,
+                      mod_affine_algebra, path, satisfies_condition)
 from loopcond import algebra as alg
 from loopcond.cli import main
 
@@ -64,6 +64,28 @@ def test_even_cycle_over_z2_is_refuted_through_its_core() -> None:
     start = time.perf_counter()
     decision = satisfies_condition(mod_affine_algebra(2), condition_from_graph(cycle(6)))
     assert isinstance(decision, NotSatisfied)
+    assert time.perf_counter() - start < 10
+
+
+def _clique_minus_an_edge(n: int) -> DiGraph:
+    return DiGraph(n, clique(n).edges - {(0, 1), (1, 0)})
+
+
+def test_clique_minus_an_edge_reaches_its_core_by_pigeonhole() -> None:
+    # vertex 0 folds onto vertex 1, and every later step asks K11 -> K10 of
+    # the search, which the pigeonhole rule refutes before any expansion
+    start = time.perf_counter()
+    retraction = core(_clique_minus_an_edge(12))
+    assert time.perf_counter() - start < 10
+    assert retraction.mapping == (0,) + tuple(range(11))
+    assert retraction.target.edges == clique(11).edges
+
+
+def test_clique_minus_an_edge_over_z2_is_decided_through_its_core() -> None:
+    start = time.perf_counter()
+    decision = satisfies_condition(mod_affine_algebra(2),
+                                   condition_from_graph(_clique_minus_an_edge(12)))
+    assert isinstance(decision, Satisfied)
     assert time.perf_counter() - start < 10
 
 

@@ -97,21 +97,38 @@ def test_embedding_returns_lexicographically_least_witness() -> None:
 
 
 def test_hom_search_complete_on_small_instances() -> None:
+    # every witness is the least one, and the empty graph maps everywhere
+    # while nothing nonempty maps to it
     rng = random.Random(5)
-    small = [cycle(k) for k in (1, 2, 3, 4, 5)] + [clique(k) for k in (1, 2, 3)]
+    small = [DiGraph(0, frozenset())]
+    small += [cycle(k) for k in (1, 2, 3, 4, 5)] + [clique(k) for k in (1, 2, 3)]
     small += [directed_cycle(k) for k in (2, 3)] + [path(3)]
     for _ in range(15):
         small.append(_random_graph(rng, rng.randint(1, 5), 0.35))
     for g in small:
         for h in small:
+            homs = all_homomorphisms(g, h)
             found = find_hom(g, h)
             assert (found is not None) == hom_exists_brute(g, h)
+            assert (found.mapping if found else None) == min(homs, default=None)
             if found is not None:
                 assert found.is_valid()
             emb = find_embedding(g, h)
             assert (emb is not None) == embedding_exists_brute(g, h)
+            assert (emb.mapping if emb else None) == \
+                min((m for m in homs if len(set(m)) == g.n), default=None)
             if emb is not None:
                 assert emb.is_valid() and emb.is_injective()
+
+
+def test_larger_graphs_are_refuted_before_any_expansion() -> None:
+    # pigeonhole: n + 1 pairwise adjacent vertices cannot take n values, and
+    # an embedding cannot take more vertices than its target has
+    for n in range(2, 16):
+        assert find_hom(clique(n + 1), clique(n), budget=0) is None
+        assert find_embedding(path(n + 1), clique(n), budget=0) is None
+        assert find_embedding(DiGraph(n, frozenset()), cycle(n - 1), budget=0) is None
+    assert find_embedding(clique(1), DiGraph(0, frozenset()), budget=0) is None
 
 
 def test_cycle_reduction_search_is_backtrack_free() -> None:

@@ -102,3 +102,12 @@ def test_term_dags_are_walked_by_fold() -> None:
                     for node in ast.walk(loop)
                     if isinstance(node, ast.Attribute) and node.attr == "args"})
     assert found == []
+
+
+def test_search_core_takes_constraints_as_arcs_not_flags() -> None:
+    # "pairwise different" and every other constraint kind is an arc of the
+    # network that _network builds; the search itself only projects
+    (search,) = [fn for name, tree in _trees() if name == "graph.py"
+                 for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_arc_search"]
+    assert [arg.arg for arg in search.args.kwonlyargs] == ["project"]
