@@ -20,10 +20,11 @@ checked on all rows.  The ExponentCap on table entries still counts G's
 variables.
 
 The closure engine `_close` enumerates argument combinations as tuples of
-items, and the pair closure interns tables by content: a pair is two table
-ids, and each operation keeps one memo from a tuple of argument table ids to
-the id of the composed table, so a combination whose tables were composed
-before costs two dictionary lookups.
+items.  An item of the pair closure is a pair of tables, one canonical
+object per distinct table, and each operation keeps one memo from a tuple
+of argument tables to the composed table, so a combination whose tables
+were composed before costs two dictionary lookups.  A bytes table hashes
+once and caches its hash, so these lookups do not reread its rows.
 
 One kernel, `_apply_columns`, composes tables.  On the decision path a
 table over a universe of at most 256 elements is `bytes`, one byte per row.
@@ -444,7 +445,9 @@ class SubpowerResult:
 def generate_subpower(a: FiniteAlgebra, k: int, generators,
                       cap: int = DEFAULT_MAX_ELEMENTS) -> SubpowerResult:
     """Least subset of A^k containing the generators and closed under all
-    operations coordinatewise."""
+    operations coordinatewise.  Provenance: generator i has ("gen", i), an
+    int payload, a generated element (op name, argument tuples); the
+    payload's type tells them apart, as an operation may be named "gen"."""
     gens = [tuple(g) for g in generators]
     for g in gens:
         if len(g) != k or any(not 0 <= x < a.size for x in g):
@@ -490,17 +493,19 @@ def decision_to_json_dict(d: Decision) -> dict:
 
 
 def _term_from_provenance(item, provenance) -> Term:
-    """The term that generated item: Var(i) for a seed tagged ("pos", i),
-    op(parents) for one tagged (op, parents).  Folds the provenance, so any
-    depth replays, into one Term per item object; the parents are the
-    closure's own item objects, so shared parents give a shared DAG."""
+    """The term that generated item: Var(i) for a seed, whose payload is the
+    int i, and op(parents) for one tagged (op, parents), the parents a
+    tuple.  A seed is told by its payload, not its tag, which an operation
+    may share.  Folds the provenance, so any depth replays, into one Term
+    per item object; the parents are the closure's own item objects, so
+    shared parents give a shared DAG."""
     def parents(x) -> tuple:
-        tag, payload = provenance[x]
-        return () if tag == "pos" else payload
+        payload = provenance[x][1]
+        return () if type(payload) is int else payload
 
     def build(x, terms: list[Term]) -> Term:
         tag, payload = provenance[x]
-        return Var(payload) if tag == "pos" else App(tag, tuple(terms))
+        return Var(payload) if type(payload) is int else App(tag, tuple(terms))
     return _fold(item, parents, build)
 
 
@@ -520,30 +525,20 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
     two tables are equal.
 
     columns maps each variable to its projection column, of type
-    _column_kind(a.size).  Items are pairs of interned table ids; each seed
-    is tagged ("pos", first position of its edge), each generated pair (op
-    name, argument pairs).
+    _column_kind(a.size).  Items are pairs of tables, one canonical object
+    per distinct table, so an equal pair is one whose two tables are the
+    same object; each seed is tagged ("pos", first position of its edge),
+    each generated pair (op name, argument pairs).
     """
     kind = _column_kind(a.size)
-    tables: list[Column] = []
-    table_id: dict[Column, int] = {}
-
-    def intern(table: Column) -> int:
-        got = table_id.get(table)
-        if got is not None:
-            return got
-        table_id[table] = len(tables)
-        tables.append(table)
-        return len(tables) - 1
-
-    proj_id = {v: intern(columns[v]) for v in c.variables}
+    canonical: dict[Column, Column] = {}
 
     def pairwise(op: Operation):
-        memo: dict[tuple[int, ...], int] = {}  # argument table ids -> table id
+        memo: dict[tuple[Column, ...], Column] = {}  # argument tables -> table
 
-        def compose(ids: tuple[int, ...]) -> int:
-            memo[ids] = got = intern(
-                _apply_columns(op, a.size, [tables[i] for i in ids], length, kind))
+        def compose(tables: tuple[Column, ...]) -> Column:
+            table = _apply_columns(op, a.size, tables, length, kind)
+            memo[tables] = got = canonical.setdefault(table, table)
             return got
 
         def fn(args):
@@ -558,9 +553,10 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
         return fn
 
     ops = [(op.name, op.arity, pairwise(op)) for op in a.operations]
-    seeds = [((proj_id[u], proj_id[v]), ("pos", pos))
+    proj = {v: canonical.setdefault(col, col) for v, col in columns.items()}
+    seeds = [((proj[u], proj[v]), ("pos", pos))
              for (u, v), pos in _first_positions(c).items()]
-    return _close(seeds, ops, cap, stop=lambda pair: pair[0] == pair[1])
+    return _close(seeds, ops, cap, stop=lambda pair: pair[0] is pair[1])
 
 
 def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:

@@ -443,15 +443,18 @@ def core(g: DiGraph) -> Homomorphism:
     return _retraction(g, kept, [inverse[x] for x in image])
 
 
+def _undirected(n: int, pairs) -> DiGraph:
+    """The symmetric graph on n vertices with both arcs of every pair.  The
+    arcs pass through a set, which fixes the frozenset's iteration order and
+    so the order in which a search propagates the arcs."""
+    return DiGraph(n, frozenset({e for a, b in pairs for e in ((a, b), (b, a))}))
+
+
 def cycle(n: int) -> DiGraph:
     """Symmetric n-cycle; cycle(1) is a loop, cycle(2) a symmetric edge."""
     if n < 1:
         raise ValueError("cycle needs n >= 1")
-    edges = set()
-    for i in range(n):
-        edges.add((i, (i + 1) % n))
-        edges.add(((i + 1) % n, i))
-    return DiGraph(n, frozenset(edges))
+    return _undirected(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def clique(n: int) -> DiGraph:
@@ -471,11 +474,7 @@ def path(n: int) -> DiGraph:
     """Symmetric path on n vertices (n - 1 unoriented edges)."""
     if n < 1:
         raise ValueError("path needs n >= 1")
-    edges = set()
-    for i in range(n - 1):
-        edges.add((i, i + 1))
-        edges.add((i + 1, i))
-    return DiGraph(n, frozenset(edges))
+    return _undirected(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def petersen() -> DiGraph:
@@ -483,11 +482,7 @@ def petersen() -> DiGraph:
     pairs = [(i, (i + 1) % 5) for i in range(5)]
     pairs += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     pairs += [(i, i + 5) for i in range(5)]
-    edges = set()
-    for a, b in pairs:
-        edges.add((a, b))
-        edges.add((b, a))
-    return DiGraph(10, frozenset(edges))
+    return _undirected(10, pairs)
 
 
 def to_dot(g: DiGraph) -> str:

@@ -516,6 +516,19 @@ def test_deep_term_renders_and_replays_without_recursion() -> None:
     assert not verify_witness(Z2, COMMUT, rebuilt)
 
 
+def test_an_operation_may_be_named_like_a_seed_tag() -> None:
+    # seeds are tagged "pos" and told apart by their int payload, so an
+    # operation named pos decides as the same table named m, name swapped
+    named_pos = FiniteAlgebra(3, (Operation("pos", 3, Z3.operations[0].table),))
+    for text in (SIGGERS_IDENTITY, COMMUTATIVITY_IDENTITY, "t(x,y,z)=t(y,z,x)",
+                 "t(x,y)=t(y,z)"):
+        c = parse_condition(text)
+        ours, theirs = satisfies_condition(named_pos, c), satisfies_condition(Z3, c)
+        assert type(ours) is type(theirs)
+        if isinstance(theirs, Satisfied):
+            assert term_to_string(ours.term) == term_to_string(theirs.term).replace("m(", "pos(")
+
+
 def test_deep_terms_compare_hash_and_repr_without_recursion() -> None:
     def nested(depth: int, leaf: int) -> App:
         term = Var(leaf)

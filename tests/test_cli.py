@@ -269,6 +269,48 @@ def test_failed_soundness_check_exits_3(monkeypatch, capsys, z2_file,
     assert "Traceback" not in captured.err
 
 
+_OPTIMIZED_CHILD = """
+import sys
+import loopcond.algebra, loopcond.graph
+from loopcond.cli import main
+
+def bogus_search(domains, arcs, order, budget, **kwargs):
+    yield (0,) * len(order)
+
+setattr(loopcond.{module}, {name!r}, {replacement})
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("module, name, replacement, argv", [
+    ("algebra", "_differing_rows", "lambda a, c, t, proj: [0]",
+     ["satisfies", "--algebra", None, SIGGERS_IDENTITY]),
+    ("graph", "_arc_search", "bogus_search", ["implies", COMM, COMM]),
+    ("graph", "_arc_search", "bogus_search", ["verify", "--cycle-k", "5"]),
+], ids=["satisfies", "implies", "verify"])
+def test_failed_soundness_check_exits_3_under_optimize(z2_file, module, name,
+                                                       replacement, argv) -> None:
+    # python -O strips assert statements, so the checks must raise by themselves
+    script = _OPTIMIZED_CHILD.format(module=module, name=name, replacement=replacement)
+    env = dict(os.environ, PYTHONPATH=str(Path(loopcond.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script,
+                           *[z2_file if a is None else a for a in argv]],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_an_operation_may_be_named_pos(tmp_path, capsys) -> None:
+    # a seed's provenance tag is "pos" too: seeds are told by their int payload
+    table = [(x + y - z) % 3 for x in range(3) for y in range(3) for z in range(3)]
+    target = tmp_path / "pos.json"
+    target.write_text(json.dumps({"size": 3, "operations": [
+        {"name": "pos", "arity": 3, "table": table}]}))
+    assert main(["satisfies", "--algebra", str(target), SIGGERS_IDENTITY]) == 0
+    assert capsys.readouterr().out == "Satisfied: t = pos(x2,x2,x1)\n"
+
+
 @pytest.mark.parametrize("exc", [KeyError("lost"), RuntimeError("broken")],
                          ids=["KeyError", "RuntimeError"])
 def test_unexpected_exception_exits_3(monkeypatch, capsys, z2_file, exc) -> None:

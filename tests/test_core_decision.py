@@ -6,7 +6,7 @@ import random
 import time
 
 from helpers import decide_by_subpower, random_algebra, witness_holds_brute
-from loopcond import (DiGraph, Homomorphism, LoopCondition, NotSatisfied, ResourceExceeded,
+from loopcond import (BudgetExceeded, DiGraph, Homomorphism, LoopCondition, NotSatisfied, ResourceExceeded,
                       Satisfied, algebra_to_json, clique, condition_from_graph,
                       condition_graph, core, cycle, decision_to_json_dict,
                       mod_affine_algebra, path, satisfies_condition)
@@ -112,6 +112,21 @@ def test_a_witness_the_graph_finds_is_its_own() -> None:
     assert core(condition_graph(p3)).target.n == 2
     assert decision_to_json_dict(satisfies_condition(z3, p3)) == \
         decision_to_json_dict(alg._refine(z3, p3, alg.DEFAULT_MAX_ELEMENTS))
+
+
+def test_a_core_over_budget_decides_the_graph_as_it_is(monkeypatch) -> None:
+    # P3 and P4 are not cores, so only the failed core step sends them to _refine
+    calls = []
+
+    def over_budget(g):
+        calls.append(g)
+        raise BudgetExceeded(1)
+    monkeypatch.setattr(alg, "core", over_budget)
+    for a, g in ((mod_affine_algebra(3), path(3)), (mod_affine_algebra(2), path(4))):
+        c = condition_from_graph(g)
+        assert decision_to_json_dict(satisfies_condition(a, c)) == \
+            decision_to_json_dict(alg._refine(a, c, alg.DEFAULT_MAX_ELEMENTS))
+    assert len(calls) == 2
 
 
 def _c6_cli(tmp_path, monkeypatch, fake_core):
