@@ -193,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_satisfies)
 
     p = sub.add_parser("verify", help="run the reduction verification reports")
-    p.add_argument("--clique-n", type=int)
+    p.add_argument("--clique-n", type=int, metavar="N",
+                   help="check the clique-reduction claims on K_N and K_(N+1); "
+                        "N in 3..6")
     p.add_argument("--cycle-k", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)

@@ -204,7 +204,7 @@ def _missing(candidates, present) -> list | None:
     return next((list(c) for c in candidates if c not in present), None)
 
 
-def verify_clique_claims(n: int, *, max_n: int = 4) -> Report:
+def verify_clique_claims(n: int, *, max_n: int = 6) -> Report:
     """Brute-force the clique-reduction claims on K_n and K_{n+1}.
 
     On K_n: the sufficient cases (a) and (b) for R, completeness and symmetry

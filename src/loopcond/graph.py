@@ -191,19 +191,27 @@ def algebraic_length(g: DiGraph) -> int:
     return d
 
 
-def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], list[list]]:
-    """Domains and arcs for the maps 0..n-1 -> V that send every typed edge
-    (t, a, b) to an edge of targets[t]; the targets share the vertex set V.
+def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], tuple]:
+    """Domains and constraints (arcs, groups) for the maps 0..n-1 -> V that
+    send every typed edge (t, a, b) to an edge of targets[t]; the targets
+    share the vertex set V.
 
     Domains are bitmasks over V.  A loop (t, a, a) restricts a's domain to
     the loops of targets[t].  Every other edge gives an arc each way, and
     arcs[v] holds (table, cache, neighbours): when v takes value x, each
     neighbour may only take values in table[x].  Edges on the same ordered
-    pair share one table, and pairs with equal tables share one group, so
-    the union cache serves a whole slot for the length of one search.  If
-    every two variables have tables that keep no value (x not in table[x]),
-    their values differ pairwise, so by pigeonhole every domain is emptied
-    when the domains together hold fewer values than there are variables.
+    pair share one table, and v's pairs with equal tables share one arc, so
+    the union cache serves a whole slot for the length of one search.
+
+    Two variables take different values when their tables keep no value
+    (no x with x in table[x]).  That holds exactly when no vertex is a loop
+    of every target with an edge on the pair, which pair_loops tracks.
+    Each such pair a < b grows one group of pairwise different variables:
+    from {a, b}, every further variable in index order joins when it
+    differs from all members so far.  The distinct groups of at least three
+    variables are kept as tuples, in order of discovery.  One group per
+    pair keeps the derivation polynomial, where the maximal cliques of
+    variables can be exponentially many (K_{2x20} has 2^20 of them).
     """
     size = targets[0].n
     succ = [[0] * size for _ in targets]
@@ -212,46 +220,70 @@ def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], list[lis
         for a, b in h.edges:
             succ[t][a] |= 1 << b
             pred[t][b] |= 1 << a
+    loops = [sum(1 << x for x in range(size) if rows[x] >> x & 1) for rows in succ]
     domains = [(1 << size) - 1] * n
     pair_tables: dict[Edge, list[int]] = {}
+    pair_loops: dict[Edge, int] = {}
     for t, a, b in edges:
         if a == b:
-            domains[a] &= sum(1 << x for x in range(size) if succ[t][x] >> x & 1)
+            domains[a] &= loops[t]
             continue
+        pair = (a, b) if a < b else (b, a)
+        pair_loops[pair] = pair_loops.get(pair, loops[t]) & loops[t]
         for key, rows in (((a, b), succ[t]), ((b, a), pred[t])):
             table = pair_tables.get(key)
             pair_tables[key] = list(rows) if table is None else \
                 [x & y for x, y in zip(table, rows)]
-    if len(pair_tables) == n * (n - 1) \
-            and sum(any(d >> x & 1 for d in domains) for x in range(size)) < n \
-            and not any(r >> x & 1 for t in pair_tables.values() for x, r in enumerate(t)):
-        domains = [0] * n
-    groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(n)]
+    differ = [0] * n
+    for (a, b), kept in pair_loops.items():
+        if not kept:
+            differ[a] |= 1 << b
+            differ[b] |= 1 << a
+    found: dict[int, None] = {}
+    for a in range(n):
+        later = differ[a] >> a + 1 << a + 1
+        while later:
+            b = later & -later
+            later ^= b
+            members, common = 1 << a | b, differ[a] & differ[b.bit_length() - 1]
+            while common:
+                c = common & -common
+                members |= c
+                common &= differ[c.bit_length() - 1]
+            if members.bit_count() >= 3:
+                found[members] = None
+    groups = [tuple(v for v in range(n) if members >> v & 1) for members in found]
+    by_row: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(n)]
     for (a, b), table in sorted(pair_tables.items()):
-        groups[a].setdefault(tuple(table), []).append(b)
+        by_row[a].setdefault(tuple(table), []).append(b)
     caches: dict[tuple[int, ...], dict[int, int]] = {}
     arcs = [[(table, caches.setdefault(table, {}), nbrs) for table, nbrs in g.items()]
-            for g in groups]
-    return domains, arcs
+            for g in by_row]
+    return domains, (arcs, groups)
 
 
-def _arc_search(domains: list[int], arcs: list[list], order: list[int], budget: int,
+def _arc_search(domains: list[int], constraints: tuple, order: list[int], budget: int,
                 *, project: int = 0):
     """Yield solutions of a binary constraint network, depth first.
 
     The search core behind find_hom, find_embedding, ppdef.evaluate and
-    ppdef.witness.  Variables are assigned in `order`, values in ascending
-    order, and each value tried counts one expansion against `budget`.  Arc
-    consistency is maintained after every assignment; it removes only
-    values that extend to no solution, so the first solution yielded is the
-    least in that order.  Every constraint, "pairwise different" included,
-    is an arc of the network (see _network), not an option of the search.
-    The search yields one solution for each assignment of the first
-    `project` variables in `order` that extends to one: after a solution it
+    ppdef.witness; `constraints` is the (arcs, groups) pair of _network.
+    Variables are assigned in `order`, values in ascending order, and each
+    value tried counts one expansion against `budget`.  Arc consistency is
+    maintained after every assignment, and at every fixpoint, the first one
+    before any expansion included, each group of pairwise different
+    variables is counted: when its domains together hold fewer values than
+    it has variables, the state is a dead end.  Both remove only values
+    that extend to no solution, so the first solution yielded is the least
+    in that order.  Every constraint, "pairwise different" included, is an
+    arc or a group of the network, not an option of the search.  The search
+    yields one solution for each assignment of the first `project`
+    variables in `order` that extends to one: after a solution it
     backtracks to variable project - 1.  The search is iterative (an
     explicit stack and an undo trail), so its depth is not bounded by the
     Python recursion limit.
     """
+    arcs, groups = constraints
     n = len(order)
     dom = list(domains)
     trail: list[tuple[int, int]] = []
@@ -282,6 +314,12 @@ def _arc_search(domains: list[int], arcs: list[list], order: list[int], budget: 
                         trail.append((u, du))
                         dom[u] = du & s
                         queue.append(u)
+        for group in groups:
+            values = 0
+            for v in group:
+                values |= dom[v]
+            if values.bit_count() < len(group):
+                return False
         return True
 
     if not all(dom) or not propagate(list(range(len(dom)))):
@@ -331,8 +369,8 @@ def _checked_hom(g: DiGraph, h: DiGraph, budget: int,
     if injective and h.n:  # clique(0) raises, and an empty h empties every domain
         edges += [(1, a, b) for a in range(g.n) for b in range(g.n) if a != b]
         targets.append(clique(h.n))
-    domains, arcs = _network(g.n, edges, targets)
-    mapping = next(_arc_search(domains, arcs, list(range(g.n)), budget), None)
+    domains, constraints = _network(g.n, edges, targets)
+    mapping = next(_arc_search(domains, constraints, list(range(g.n)), budget), None)
     if mapping is None:
         return None
     hom = Homomorphism(g, h, mapping)
@@ -358,7 +396,8 @@ def find_embedding(g: DiGraph, h: DiGraph, *,
                    budget: int = DEFAULT_BUDGET) -> Homomorphism | None:
     """Like find_hom but the witness must be injective (a subgraph copy): a
     second slot joins every two vertices of g and targets the clique on h's
-    vertices, so _network's pigeonhole rule refutes a g larger than h."""
+    vertices, so g's vertices form one group of pairwise different
+    variables, and counting refutes a g larger than h before the search."""
     return _checked_hom(g, h, budget, True)
 
 

@@ -26,12 +26,14 @@ _EQUATION = re.compile(
 
 @dataclass(frozen=True)
 class LoopCondition:
-    """A parsed identity; `variables` lists names in first-occurrence order."""
+    """A parsed identity; `variables` lists names in first-occurrence order,
+    and `graph` is the assigned graph, built once (see condition_graph)."""
 
     symbol: str
     lhs: tuple[str, ...]
     rhs: tuple[str, ...]
     variables: tuple[str, ...] = field(init=False)
+    graph: DiGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not _IDENT.match(self.symbol):
@@ -44,7 +46,11 @@ class LoopCondition:
         if len(self.lhs) != len(self.rhs):
             raise ArityMismatch(
                 f"sides have {len(self.lhs)} and {len(self.rhs)} arguments")
-        object.__setattr__(self, "variables", tuple(dict.fromkeys(self.lhs + self.rhs)))
+        variables = tuple(dict.fromkeys(self.lhs + self.rhs))
+        index = {name: i for i, name in enumerate(variables)}
+        edges = frozenset((index[u], index[v]) for u, v in zip(self.lhs, self.rhs))
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "graph", DiGraph(len(variables), edges, variables))
 
     @property
     def arity(self) -> int:
@@ -85,10 +91,9 @@ def print_condition(c: LoopCondition) -> str:
 
 def condition_graph(c: LoopCondition) -> DiGraph:
     """The assigned graph: variables as vertices, one edge (u_i, v_i) per
-    argument position, deduplicated; loops are kept as ordinary edges."""
-    index = {name: i for i, name in enumerate(c.variables)}
-    edges = frozenset((index[u], index[v]) for u, v in zip(c.lhs, c.rhs))
-    return DiGraph(len(c.variables), edges, c.variables)
+    argument position, deduplicated; loops are kept as ordinary edges.  It
+    is built when c is, so every caller shares one graph."""
+    return c.graph
 
 
 def condition_from_graph(g: DiGraph, symbol: str = "t") -> LoopCondition:

@@ -107,7 +107,7 @@ def gadget_from_json(text: str) -> Gadget:
 
 def _gadget_network(gadget: Gadget,
                     inputs: list[DiGraph]) -> tuple[list, list, list, int]:
-    """Domains, arcs and variable order for the search over gadget
+    """Domains, constraints and variable order for the search over gadget
     assignments, plus the number of distinct distinguished vertices, which
     come first in the order."""
     if len(inputs) != gadget.slot_count:
@@ -117,10 +117,10 @@ def _gadget_network(gadget: Gadget,
         raise SlotMismatch("at least one input graph is required")
     if any(g.n != inputs[0].n for g in inputs):
         raise SlotMismatch("input graphs must share one vertex set")
-    domains, arcs = _network(gadget.vertex_count, gadget.typed_edges, inputs)
+    domains, constraints = _network(gadget.vertex_count, gadget.typed_edges, inputs)
     first = list(dict.fromkeys(gadget.distinguished))
     order = first + sorted(set(range(gadget.vertex_count)) - set(first))
-    return domains, arcs, order, len(first)
+    return domains, constraints, order, len(first)
 
 
 def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
@@ -134,9 +134,9 @@ def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
     full extension of their values it moves on to the next values, so each
     tuple costs one extension rather than a search of its own.
     """
-    domains, arcs, order, k = _gadget_network(gadget, inputs)
+    domains, constraints, order, k = _gadget_network(gadget, inputs)
     found = {tuple(asg[v] for v in gadget.distinguished)
-             for asg in _arc_search(domains, arcs, order, budget, project=k)}
+             for asg in _arc_search(domains, constraints, order, budget, project=k)}
     return Relation(inputs[0].n, gadget.arity, frozenset(found))
 
 
@@ -149,10 +149,10 @@ def witness(gadget: Gadget, inputs: list[DiGraph], values: tuple[int, ...], *,
     """
     if len(values) != gadget.arity:
         raise ValueError("witness tuple must match the gadget arity")
-    domains, arcs, order, _ = _gadget_network(gadget, inputs)
+    domains, constraints, order, _ = _gadget_network(gadget, inputs)
     for v, x in zip(gadget.distinguished, values):
         domains[v] &= 1 << x if 0 <= x < inputs[0].n else 0
-    asg = next(_arc_search(domains, arcs, order, budget), None)
+    asg = next(_arc_search(domains, constraints, order, budget), None)
     if asg is not None and (
             any(asg[v] != x for v, x in zip(gadget.distinguished, values))
             or any((asg[a], asg[b]) not in inputs[t].edges

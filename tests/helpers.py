@@ -88,6 +88,23 @@ def evaluate_brute(gadget: Gadget, inputs: list[DiGraph]) -> Relation:
     return Relation(universe, len(gadget.distinguished), frozenset(tuples))
 
 
+def least_witnesses_brute(gadget: Gadget, inputs: list[DiGraph]) -> dict:
+    """For each output tuple of the gadget, its least full assignment in
+    search order: distinguished vertices first (each once, in order of first
+    occurrence), then the others ascending, values compared in that order.
+    Enumerates all |V|^|U| value vectors over that order, lexicographically."""
+    first = list(dict.fromkeys(gadget.distinguished))
+    order = first + [v for v in range(gadget.vertex_count) if v not in first]
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for values in product(range(inputs[0].n), repeat=gadget.vertex_count):
+        f = [0] * gadget.vertex_count
+        for v, x in zip(order, values):
+            f[v] = x
+        if all((f[a], f[b]) in inputs[t].edges for t, a, b in gadget.typed_edges):
+            least.setdefault(tuple(f[u] for u in gadget.distinguished), tuple(f))
+    return least
+
+
 def random_algebra(rng: random.Random, max_size: int) -> FiniteAlgebra:
     """Universe of 2..max_size elements, one or two operations of arity 1-3,
     the second possibly 0-ary, with random tables."""

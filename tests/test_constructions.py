@@ -167,6 +167,12 @@ def test_verify_clique_claims_frozen_with_three_evaluations(monkeypatch) -> None
         assert len(calls) == 3
 
 
+def test_verify_clique_claims_passes_on_six() -> None:
+    report = verify_clique_claims(6, max_n=6)
+    assert report.all_pass
+    assert len(report.checks) == 10
+
+
 def test_clique_q_rejects_asymmetric_input() -> None:
     from loopcond import directed_cycle
     with pytest.raises(NotSymmetric, match="^clique constructions expect a "
@@ -178,7 +184,7 @@ def test_verify_clique_claims_preconditions() -> None:
     with pytest.raises(ValueError):
         verify_clique_claims(2)
     with pytest.raises(SizeCap):
-        verify_clique_claims(5)
+        verify_clique_claims(7)
 
 
 def test_report_json_shape() -> None:

@@ -131,6 +131,18 @@ def test_larger_graphs_are_refuted_before_any_expansion() -> None:
     assert find_embedding(clique(1), DiGraph(0, frozenset()), budget=0) is None
 
 
+def test_cocktail_party_graph_is_refuted_by_counting() -> None:
+    # K_{2x20} (20 non-adjacent pairs) has 2^20 maximal cliques, and one of
+    # its groups of 20 pairwise different vertices cannot take 19 values;
+    # deriving the groups stays polynomial
+    k = 20
+    party = DiGraph(2 * k, frozenset((a, b) for a in range(2 * k) for b in range(2 * k)
+                                     if a // 2 != b // 2))
+    assert find_hom(party, clique(k - 1), budget=0) is None
+    hom = find_hom(party, clique(k))
+    assert hom is not None and hom.is_valid()
+
+
 def test_cycle_reduction_search_is_backtrack_free() -> None:
     # with arc consistency maintained, one expansion per vertex suffices
     for k in (3, 9, 21):

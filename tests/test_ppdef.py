@@ -1,12 +1,12 @@
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from helpers import evaluate_brute
+from helpers import evaluate_brute, least_witnesses_brute
 from loopcond import (ArityNotDivisible, DiGraph, Gadget, GadgetFormatError, Relation,
-                      SlotMismatch, cycle, evaluate, gadget_from_json, gadget_to_json,
+                      SlotMismatch, clique, cycle, evaluate, gadget_from_json, gadget_to_json,
                       graph_to_relation, pp_flatten, pp_power, relation_to_graph,
                       walk_gadget, witness)
 
@@ -69,6 +69,52 @@ def test_evaluate_matches_brute_force_on_random_instances() -> None:
         n = rng.randint(1, 3)
         inputs = [_random_graph(rng, n) for _ in range(gadget.slot_count)]
         assert evaluate(gadget, inputs) == evaluate_brute(gadget, inputs)
+
+
+def _gadget_with_clique(rng: random.Random) -> Gadget:
+    """3-7 vertices, 3-5 of them joined pairwise by an edge of a random slot
+    and direction, plus a few other edges without loops."""
+    vertices = rng.randint(3, 7)
+    slots = rng.randint(1, 2)
+    members = rng.sample(range(vertices), rng.randint(3, min(5, vertices)))
+    edges = [(rng.randrange(slots), *(pair if rng.random() < 0.5 else pair[::-1]))
+             for pair in combinations(members, 2)]
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.sample(range(vertices), 2)
+        edges.append((rng.randrange(slots), a, b))
+    rng.shuffle(edges)
+    distinguished = tuple(rng.randrange(vertices) for _ in range(rng.randint(1, 3)))
+    return Gadget(vertices, tuple(edges), distinguished, slots)
+
+
+def _loopless_input(rng: random.Random, n: int) -> DiGraph:
+    """A clique (C3, the one odd cycle on at most 4 vertices, is K3) or a
+    random loopless digraph on n vertices."""
+    if rng.random() < 0.4:
+        return clique(n)
+    return DiGraph(n, frozenset((a, b) for a in range(n) for b in range(n)
+                                if a != b and rng.random() < 0.6))
+
+
+def test_gadgets_with_cliques_of_variables_match_brute_force() -> None:
+    # a clique of variables over loopless inputs is a group of pairwise
+    # different variables, so these searches count values per group; the
+    # relation and every least witness must not change
+    rng = random.Random(1313)
+    for _ in range(60):
+        gadget = _gadget_with_clique(rng)
+        n = rng.randint(2, 4)
+        inputs = [_loopless_input(rng, n) for _ in range(gadget.slot_count)]
+        relation = evaluate(gadget, inputs)
+        least = least_witnesses_brute(gadget, inputs)
+        assert relation == evaluate_brute(gadget, inputs)
+        assert relation.tuples == set(least)
+        for values, asg in least.items():
+            assert witness(gadget, inputs, values) == asg
+        for _ in range(3):
+            values = tuple(rng.randrange(n) for _ in range(gadget.arity))
+            if values not in least:
+                assert witness(gadget, inputs, values) is None
 
 
 def test_evaluate_is_monotone_in_inputs() -> None:
