@@ -48,13 +48,15 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import (AlgebraFormatError, BadTerm, BudgetExceeded, ExponentCap,
                      UniverseMismatch)
 from .graph import _decode, _field, core
 from .identity import LoopCondition, condition_from_graph, condition_graph
-from .ppdef import Relation
+
+if TYPE_CHECKING:  # generate_subpower imports it when it builds one
+    from .ppdef import Relation
 
 #: Default cap on free-algebra table entries (size ** variables).
 DEFAULT_MAX_ENTRIES = 4096
@@ -448,6 +450,7 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
     operations coordinatewise.  Provenance: generator i has ("gen", i), an
     int payload, a generated element (op name, argument tuples); the
     payload's type tells them apart, as an operation may be named "gen"."""
+    from .ppdef import Relation
     gens = [tuple(g) for g in generators]
     for g in gens:
         if len(g) != k or any(not 0 <= x < a.size for x in g):

@@ -10,6 +10,14 @@ Exit codes: 0 for a positive answer, 1 for a negative mathematical answer
 failed), 2 for usage or resource errors, 3 for an internal error: a
 soundness check found that a solver's answer does not check out, or any
 other unexpected exception, reported on one stderr line without a traceback.
+
+Every process imports only what its subcommand runs.  parse, classify,
+graph-info and implies need the graph side alone, which `import loopcond`
+loads; satisfies and audit import algebra, and verify imports
+constructions (with ppdef), inside the subcommand.  So the parser reads no
+algebra constant: omitted --max-entries and --max-elements are None, and
+satisfies applies algebra's defaults.  The work caps (--budget,
+--max-entries, --max-elements) must not be negative, or parsing exits 2.
 """
 
 from __future__ import annotations
@@ -19,8 +27,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import algebra as alg
-from . import constructions as cons
 from . import graph as gr
 from . import identity as ident
 from .classify import classification_to_json_dict, classify, implies_by_hom
@@ -86,14 +92,18 @@ def _cmd_satisfies(args) -> Result:
     if args.algebra is None and args.affine is None:
         print("satisfies: need --algebra FILE and/or --affine M", file=sys.stderr)
         return 2, None, ""
+    from . import algebra as alg
     c = ident.parse_condition(args.identity)
     payload: dict = {"condition": ident.print_condition(c)}
     lines = []
     code = None
     if args.algebra is not None:
         a = alg.algebra_from_json(Path(args.algebra).read_text())
+        max_entries, max_elements = args.max_entries, args.max_elements
         payload.update(alg.decision_to_json_dict(alg.satisfies_condition(
-            a, c, max_entries=args.max_entries, max_elements=args.max_elements)))
+            a, c,
+            max_entries=alg.DEFAULT_MAX_ENTRIES if max_entries is None else max_entries,
+            max_elements=alg.DEFAULT_MAX_ELEMENTS if max_elements is None else max_elements)))
         code, line = _DECISIONS[payload["decision"]]
         lines.append(line.format(**payload))
     if args.affine is not None:
@@ -117,6 +127,7 @@ def _cmd_verify(args) -> Result:
     if args.clique_n is None and args.cycle_k is None:
         print("verify: need --clique-n N and/or --cycle-k K", file=sys.stderr)
         return 2, None, ""
+    from . import constructions as cons
     reports: dict[str, cons.Report] = {}
     if args.cycle_k is not None:
         reports["cycle_reduction"] = cons.verify_cycle_reduction(args.cycle_k)
@@ -153,7 +164,19 @@ def _cmd_graph_info(args) -> Result:
 
 
 def _cmd_audit(args) -> Result:
+    from . import algebra as alg
     return 0, None, _text(_dumps(alg.affine_remark_audit()))
+
+
+def _count(text: str) -> int:
+    """argparse type of the work caps: an int that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search a graph homomorphism witnessing implication")
     p.add_argument("identity")
     p.add_argument("other")
-    p.add_argument("--budget", type=int, default=gr.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count, default=gr.DEFAULT_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_implies)
 
@@ -185,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide an identity over a finite algebra")
     p.add_argument("identity")
     p.add_argument("--algebra", help="algebra JSON file")
-    p.add_argument("--max-entries", type=int, default=alg.DEFAULT_MAX_ENTRIES)
-    p.add_argument("--max-elements", type=int, default=alg.DEFAULT_MAX_ELEMENTS)
+    # omitted caps are None; _cmd_satisfies applies algebra's defaults
+    p.add_argument("--max-entries", type=_count)
+    p.add_argument("--max-elements", type=_count)
     p.add_argument("--affine", type=int,
                    help="also run the (Z_M, x+y-z) fast path and cross-check")
     p.add_argument("--json", action="store_true")

@@ -10,9 +10,9 @@ import pytest
 
 import loopcond
 
-from loopcond import (SIGGERS_IDENTITY, algebra_to_json, clique, condition_from_graph,
-                      mod_affine_algebra)
-from loopcond.cli import main
+from loopcond import (SIGGERS_IDENTITY, algebra, algebra_to_json, clique,
+                      condition_from_graph, graph, mod_affine_algebra, projection_algebra)
+from loopcond.cli import build_parser, main
 
 SMOOTH = "s(a,r,e,a)=s(r,a,r,e)"
 FIVE = "t(a,b,b,c,c,d,d,e,e,a)=t(b,a,c,b,d,c,e,d,a,e)"
@@ -383,3 +383,62 @@ def test_cli_output_is_frozen(z2_file, capsys, argv, code, out, err) -> None:
     captured = capsys.readouterr()
     assert [hashlib.sha256(s.encode()).hexdigest()[:16]
             for s in (captured.out, captured.err)] == [out, err]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["implies", FIVE, SIGGERS_IDENTITY, "--budget", "-1"], "--budget"),
+    (["satisfies", COMM, "--algebra", Z2, "--max-entries", "-1"], "--max-entries"),
+    (["satisfies", COMM, "--algebra", Z2, "--max-elements", "-1"], "--max-elements"),
+    (["satisfies", COMM, "--affine", "3", "--max-elements", "-5", "--json"], "--max-elements"),
+], ids=["budget", "max-entries", "max-elements", "max-elements-json"])
+def test_negative_caps_are_usage_errors(z2_file, capsys, argv, flag) -> None:
+    # a negative cap is refused before any work, so no answer is printed
+    assert main([z2_file if a is Z2 else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: must not be negative" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_zero_caps_and_non_integers_parse_as_before(capsys) -> None:
+    args = build_parser().parse_args(["satisfies", COMM, "--max-entries", "0",
+                                      "--max-elements", "0"])
+    assert (args.max_entries, args.max_elements) == (0, 0)
+    assert build_parser().parse_args(["implies", COMM, COMM, "--budget", "0"]).budget == 0
+    assert main(["implies", COMM, COMM, "--budget", "x"]) == 2
+    assert "argument --budget: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_omitted_caps_are_the_library_defaults(tmp_path, z2_file, capsys, monkeypatch) -> None:
+    # 65^2 = 4225 rows, just over algebra.DEFAULT_MAX_ENTRIES
+    assert algebra.DEFAULT_MAX_ENTRIES == 4096
+    target = tmp_path / "p65.json"
+    target.write_text(algebra_to_json(projection_algebra(65)))
+    assert main(["satisfies", COMM, "--algebra", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: free-algebra tables need 4225 entries, cap is 4096\n"
+    assert main(["satisfies", COMM, "--algebra", str(target), "--max-entries", "4225"]) == 1
+    assert capsys.readouterr().out == "NotSatisfied\n"
+    # the omitted caps are read from the library's constants when a command runs
+    assert build_parser().parse_args(["implies", COMM, COMM]).budget == graph.DEFAULT_BUDGET
+    monkeypatch.setattr(algebra, "DEFAULT_MAX_ELEMENTS", 1)
+    monkeypatch.setattr(graph, "DEFAULT_BUDGET", 0)
+    assert main(["satisfies", SIGGERS_IDENTITY, "--algebra", z2_file]) == 2
+    assert capsys.readouterr().out == "ResourceExceeded after 2 elements\n"
+    assert main(["implies", COMM, COMM]) == 2
+    assert capsys.readouterr().err.startswith("error: search budget exhausted")
+
+
+# first 16 hex digits of the sha256 of the help texts, at 80 columns
+FROZEN_HELP = {
+    "loopcond": (["--help"], "e8d12651b9559d43"),
+    "satisfies": (["satisfies", "--help"], "feb846f5b2813e7b"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", FROZEN_HELP.values(), ids=FROZEN_HELP)
+def test_help_is_frozen(capsys, monkeypatch, argv, digest) -> None:
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
