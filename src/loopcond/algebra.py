@@ -118,8 +118,15 @@ class FiniteAlgebra:
         raise KeyError(name)
 
     def apply(self, op: Operation, args: tuple[int, ...]) -> int:
+        """op at one row of arguments, read from its table by a row loop of
+        its own, independent of the table kernel; raises ValueError for a
+        wrong argument count or an argument outside range(size)."""
+        if len(args) != op.arity:
+            raise ValueError(f"{op.name} expects {op.arity} arguments, got {len(args)}")
         idx = 0
         for x in args:
+            if not 0 <= x < self.size:
+                raise ValueError(f"argument {x} is not in range({self.size})")
             idx = idx * self.size + x
         return op.table[idx]
 
@@ -347,14 +354,14 @@ def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term,
     """The rows (assignments of the condition's variables, last variable
     fastest, in that order) where t(u1..un) and t(v1..vn) differ.
 
-    proj is _variable_columns(a, c).  Composes the table of each side over
-    all size^|variables| rows, once per distinct subterm, and compares the
-    two.  Raises BadTerm for structurally invalid terms.
+    proj is _variable_columns(a, c).  Leaf x(i+1) reads proj[u_i] + proj[v_i],
+    so one fold composes both sides over twice the rows, once per distinct
+    subterm, and compares the halves.  Raises BadTerm for invalid terms.
     """
     length = a.size ** len(c.variables)
-    kind = _column_kind(a.size)
-    left = _term_column(a, t, [proj[u] for u in c.lhs], length, kind)
-    right = _term_column(a, t, [proj[v] for v in c.rhs], length, kind)
+    both = _term_column(a, t, [proj[u] + proj[v] for u, v in zip(c.lhs, c.rhs)],
+                        2 * length, _column_kind(a.size))
+    left, right = both[:length], both[length:]
     if left == right:
         return []
     return [r for r, (x, y) in enumerate(zip(left, right)) if x != y]
@@ -393,7 +400,9 @@ def _close(seeds, ops, cap: int, stop: Callable | None = None) -> _Closure:
     seeds: iterable of (item, provenance); ops: list of (name, arity, fn)
     where fn maps an argument tuple of items to an item.  Enumerates each
     argument combination exactly once (at the step of its newest element).
-    Stops early when `stop` accepts a generated item.
+    Stops early when `stop` accepts a generated item.  Only an operation of
+    arity > 1 pairs the newest item with older ones and slices them; a unary
+    one takes the newest alone, so a closure under unary ops stays linear.
     """
     items: list = []
     prov: dict = {}
@@ -403,16 +412,13 @@ def _close(seeds, ops, cap: int, stop: Callable | None = None) -> _Closure:
         for name, arity, fn in ops:
             if arity == 0:
                 yield fn(()), (name, ())
-        # older items are only paired with the newest by ops of arity > 1;
-        # slicing them for unary ops alone would cost O(t) per item
-        wide = any(arity > 1 for _, arity, _ in ops)
         t = 0
         while t < len(items):
             # combinations over items[0..t] containing items[t], grouped by
             # the position of its first occurrence
             newest = items[t:t + 1]
-            before, upto = (items[:t], items[:t + 1]) if wide else ([], [])
             for name, arity, fn in ops:
+                before, upto = (items[:t], items[:t + 1]) if arity > 1 else ((), ())
                 for p in range(arity):
                     for args in product(*[before] * p, newest, *[upto] * (arity - 1 - p)):
                         yield fn(args), (name, args)

@@ -146,14 +146,14 @@ def _cmd_graph_info(args) -> Result:
     g = ident.condition_graph(c)
     symmetric = gr.is_symmetric(g)
     connected = gr.is_weakly_connected(g)
+    girth = gr.odd_girth(g) if symmetric else None
     info = {
         "condition": ident.print_condition(c),
-        "n": g.n,
-        "edges": [list(e) for e in g.sorted_edges()],
+        **gr.graph_to_json_dict(g),
         "has_loop": gr.has_loop(g),
         "symmetric": symmetric,
-        "bipartite": gr.is_bipartite(g) if symmetric else None,
-        "odd_girth": gr.odd_girth(g) if symmetric else None,
+        "bipartite": girth is None if symmetric else None,
+        "odd_girth": girth,
         "smooth": gr.is_smooth(g),
         "weakly_connected": connected,
         "algebraic_length": gr.algebraic_length(g) if connected else None,
@@ -220,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clique-n", type=int, metavar="N",
                    help="check the clique-reduction claims on K_N and K_(N+1); "
                         "N in 3..6")
-    p.add_argument("--cycle-k", type=int)
+    p.add_argument("--cycle-k", type=int, metavar="K",
+                   help="check the cycle-reduction facts on C_(K^2) and C_(K+2); "
+                        "odd K in 3..49")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 

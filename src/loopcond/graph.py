@@ -440,6 +440,12 @@ def core(g: DiGraph) -> Homomorphism:
       least edge, through a 2-colouring;
     - a loopless graph with every two vertices adjacent is a core, as a map
       to fewer vertices merges two of them;
+    - twins, vertices with the same out- and in-neighbours, fold onto the
+      last of them before the search, which tries the last ones only.  No
+      two twins are adjacent, as there is no loop, and the kept vertices
+      are the same: the search would remove an earlier twin, whose twin is
+      still there later, and for any other v a map C -> C - v exists before
+      the fold iff one exists after it, composing with the fold;
     - on a symmetric graph with odd girth k, v stays when C - v is
       bipartite or has odd girth above k (always so when C has at most k
       vertices, so odd cycles are cores at once), since a map sends a
@@ -459,9 +465,15 @@ def core(g: DiGraph) -> Homomorphism:
     kept = list(range(g.n))
     if len({frozenset(e) for e in g.edges}) == g.n * (g.n - 1) // 2:
         return _retraction(g, kept, kept)
+    outs, ins = [0] * g.n, [0] * g.n
+    for a, b in g.edges:
+        outs[a] |= 1 << b
+        ins[b] |= 1 << a
+    last = {sides: v for v, sides in enumerate(zip(outs, ins))}
+    image = [last[sides] for sides in zip(outs, ins)]
+    kept = sorted(last.values())
     girth = odd_girth(g) if symmetric else None
-    image = list(range(g.n))
-    for v in range(g.n):
+    for v in kept.copy():
         rest = [u for u in kept if u != v]
         if girth is not None:
             if len(rest) < girth:
@@ -525,21 +537,15 @@ def petersen() -> DiGraph:
 
 
 def to_dot(g: DiGraph) -> str:
-    """DOT text; symmetric graphs render undirected with one `--` per pair."""
-    lines = []
+    """DOT text: the isolated vertices, then the sorted edges; symmetric
+    graphs render undirected with one `--` per pair (a <= b)."""
+    symmetric = is_symmetric(g)
     touched = {v for e in g.edges for v in e}
-    isolated = [f'  "{g.label(v)}";' for v in range(g.n) if v not in touched]
-    if is_symmetric(g):
-        lines.append("graph {")
-        lines.extend(isolated)
-        for a, b in g.sorted_edges():
-            if a <= b:
-                lines.append(f'  "{g.label(a)}" -- "{g.label(b)}";')
-    else:
-        lines.append("digraph {")
-        lines.extend(isolated)
-        for a, b in g.sorted_edges():
-            lines.append(f'  "{g.label(a)}" -> "{g.label(b)}";')
+    arrow = "--" if symmetric else "->"
+    lines = ["graph {" if symmetric else "digraph {"]
+    lines += [f'  "{g.label(v)}";' for v in range(g.n) if v not in touched]
+    lines += [f'  "{g.label(a)}" {arrow} "{g.label(b)}";'
+              for a, b in g.sorted_edges() if a <= b or not symmetric]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

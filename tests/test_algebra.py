@@ -1,5 +1,6 @@
 import random
 import time
+from functools import cache
 from itertools import product
 
 import pytest
@@ -16,7 +17,8 @@ from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
                       is_compatible, mod_affine_algebra, parse_condition,
                       projection_algebra, satisfies_condition, term_to_string,
                       verify_witness)
-from loopcond.algebra import _is_prime, _term_from_provenance
+from loopcond.algebra import (_differing_rows, _is_prime, _term_from_provenance,
+                              _variable_columns)
 
 Z2 = mod_affine_algebra(2)  # x + y - z == x + y + z mod 2
 Z3 = mod_affine_algebra(3)
@@ -414,6 +416,69 @@ def test_verify_witness_matches_row_oracle() -> None:
             row = tuple(rng.randrange(a.size) for _ in range(arity))
             assert evaluate_term(a, t, row) == term_value_brute(a, t, row)
     assert outcomes == {True, False}
+
+
+def test_apply_rejects_bad_arguments() -> None:
+    # a wrong argument count or an argument outside the universe used to be
+    # read as some other table index
+    m = Z2.operations[0]
+    for args in [(0, 1), (0, 1, 1, 1), (0, 1, 2), (-1, 0, 0)]:
+        with pytest.raises(ValueError):
+            Z2.apply(m, args)
+
+
+def test_apply_matches_evaluate_term() -> None:
+    rng = random.Random(61)
+    for _ in range(40):
+        a = random_algebra(rng, max_size=4)
+        for op in a.operations:
+            term = App(op.name, tuple(Var(i) for i in range(op.arity)))
+            for args in product(range(a.size), repeat=op.arity):
+                assert a.apply(op, args) == evaluate_term(a, term, args)
+
+
+def _differing_rows_by_row(a: FiniteAlgebra, c: LoopCondition, t) -> list[int]:
+    """The rows, last variable fastest, where the two sides of c differ,
+    each side's value taken by evaluate_term at that row alone."""
+    value = cache(lambda args: evaluate_term(a, t, args))
+    rows = []
+    for r, row in enumerate(product(range(a.size), repeat=len(c.variables))):
+        at = dict(zip(c.variables, row))
+        if value(tuple(at[u] for u in c.lhs)) != value(tuple(at[v] for v in c.rhs)):
+            rows.append(r)
+    return rows
+
+
+def test_differing_rows_match_row_by_row_evaluation() -> None:
+    # bytes columns over small universes, with 0-ary operations among the
+    # random ones, then tuple columns over a 257-element universe: a swap on
+    # 2 variables (66,049 rows, each side's value is the other's at the
+    # swapped row, so the oracle's cache halves its work) and 1 variable
+    rng = random.Random(88)
+    cases = []
+    for _ in range(80):
+        a = _random_algebra(rng, max_size=4)
+        arity = rng.randint(1, 4)
+        names = [f"v{i}" for i in range(rng.randint(1, 3))]
+        c = LoopCondition("t", tuple(rng.choice(names) for _ in range(arity)),
+                          tuple(rng.choice(names) for _ in range(arity)))
+        cases += [(a, c, _random_term(rng, a, arity)) for _ in range(3)]
+    big = FiniteAlgebra(257, (
+        Operation("f", 2, tuple(rng.randrange(257) for _ in range(257 ** 2))),
+        Operation("g", 1, tuple(rng.randrange(257) for _ in range(257))),
+        Operation("c", 0, (rng.randrange(257),))))
+    shared = App("g", (App("c", ()),))
+    cases += [(big, LoopCondition("t", ("x", "y"), ("y", "x")),
+               App("f", (App("f", (Var(0), shared)), App("g", (Var(1),))))),
+              (big, LoopCondition("t", ("x", "x"), ("x", "x")), App("f", (Var(1), shared)))]
+    seen = set()
+    for a, c, t in cases:
+        proj = _variable_columns(a, c)
+        got = _differing_rows(a, c, t, proj)
+        assert got == _differing_rows_by_row(a, c, t)
+        seen.add((type(proj[c.variables[0]]), bool(got),
+                  any(op.arity == 0 for op in a.operations)))
+    assert {(kind, differ, True) for kind in (bytes, tuple) for differ in (False, True)} <= seen
 
 
 def test_shared_dag_term_is_evaluated_once_per_subterm() -> None:

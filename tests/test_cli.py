@@ -17,6 +17,7 @@ from loopcond.cli import build_parser, main
 SMOOTH = "s(a,r,e,a)=s(r,a,r,e)"
 FIVE = "t(a,b,b,c,c,d,d,e,e,a)=t(b,a,c,b,d,c,e,d,a,e)"
 COMM = "t(x,y)=t(y,x)"
+PATH3 = "t(x,y,y,z)=t(y,x,z,y)"  # the symmetric path x-y-z: bipartite
 Z2 = None  # stands for the z2_file fixture in argv lists
 
 
@@ -337,6 +338,12 @@ FROZEN_RUNS = {
     "classify-json": (["classify", SMOOTH, "--json"], 0, "8f2059e0902c495a", E),
     "graph-info": (["graph-info", SMOOTH], 0, "0c71e397219013f0", E),
     "graph-info-json": (["graph-info", SMOOTH, "--json"], 0, "332995f74cb118c1", E),
+    "graph-info-bipartite": (["graph-info", PATH3], 0, "b6c2545a6bc01634", E),
+    "graph-info-bipartite-json": (["graph-info", PATH3, "--json"], 0,
+                                  "86e2663a086db6f7", E),
+    "graph-info-odd-cycle": (["graph-info", FIVE], 0, "c38c5bf8c137ac9e", E),
+    "graph-info-odd-cycle-json": (["graph-info", FIVE, "--json"], 0,
+                                  "b78b480c479d119d", E),
     "implies-found": (["implies", FIVE, SIGGERS_IDENTITY], 0, "7a3d10b67d7f0fe3", E),
     "implies-found-json": (["implies", FIVE, SIGGERS_IDENTITY, "--json"], 0,
                            "934f2d2655e49af0", E),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -295,6 +296,25 @@ def test_dot_export() -> None:
     assert dot.startswith("graph {") and '"x" -- "y";' in dot
     lonely = DiGraph(2, frozenset({(1, 1)}))
     assert '"0";' in to_dot(lonely)
+
+
+def test_dot_export_is_frozen() -> None:
+    # seeded symmetric and directed graphs, named and unnamed, with isolated
+    # vertices and loops; frozen before both kinds were written by one path
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    kinds = set()
+    for i in range(400):
+        n = rng.randint(1, 7)
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))}
+        edges = pairs | {(b, a) for a, b in pairs} if i % 2 else pairs
+        g = DiGraph.from_edges(n, edges, [f"v{j}" for j in range(n)] if i % 3 else None)
+        touched = {v for e in g.edges for v in e}
+        kinds.add((is_symmetric(g), has_loop(g), len(touched) < n))
+        digest.update(to_dot(g).encode())
+    assert {(s, True, True) for s in (False, True)} <= kinds
+    assert digest.hexdigest() == \
+        "d550758288c1362c0e3a18c40c1ed486bb8fa3d6ce3ada7aac0b959f9dae4238"
 
 
 def test_json_roundtrip() -> None:

@@ -1,6 +1,7 @@
 """Rules the package source must keep."""
 
 import ast
+import sys
 from pathlib import Path
 
 import loopcond
@@ -11,6 +12,20 @@ def _trees() -> list[tuple[str, ast.AST]]:
     assert sources
     return [(path.name, ast.parse(path.read_text(), filename=str(path)))
             for path in sources]
+
+
+def test_package_imports_only_the_standard_library() -> None:
+    # the package runs on a bare interpreter: numpy, hypothesis and the like
+    # may be installed where it is developed, but must not become dependencies
+    found = [f"{name}:{node.lineno} {module}"
+             for name, tree in _trees()
+             for node in ast.walk(tree)
+             for module in ([alias.name for alias in node.names]
+                            if isinstance(node, ast.Import) else
+                            [node.module] if isinstance(node, ast.ImportFrom)
+                            and node.level == 0 else [])
+             if module.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []
 
 
 def test_package_has_no_assert_statements() -> None:
