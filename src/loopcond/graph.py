@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import BudgetExceeded, GraphFormatError, NotSymmetric, NotWeaklyConnected
@@ -47,6 +48,15 @@ class DiGraph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Every vertex's out-neighbours and in-neighbours as bitmasks."""
+        outs, ins = [0] * self.n, [0] * self.n
+        for a, b in self.edges:
+            outs[a] |= 1 << b
+            ins[b] |= 1 << a
+        return tuple(outs), tuple(ins)
 
 
 @dataclass(frozen=True)
@@ -136,9 +146,7 @@ def odd_girth(g: DiGraph) -> int | None:
     """
     if not is_symmetric(g):
         raise NotSymmetric("odd girth is defined for symmetric graphs only")
-    nbrs = [0] * g.n
-    for a, b in g.edges:
-        nbrs[a] |= 1 << b
+    nbrs = g._masks[0]
     best: int | None = None
     for s in range(g.n):
         # seen[p]: vertices reached from s by a walk of parity p so far
@@ -161,12 +169,8 @@ def odd_girth(g: DiGraph) -> int | None:
 
 def is_smooth(g: DiGraph) -> bool:
     """True iff every vertex has at least one incoming and one outgoing edge."""
-    outdeg = [0] * g.n
-    indeg = [0] * g.n
-    for a, b in g.edges:
-        outdeg[a] += 1
-        indeg[b] += 1
-    return all(outdeg[v] >= 1 and indeg[v] >= 1 for v in range(g.n))
+    outs, ins = g._masks
+    return all(outs) and all(ins)
 
 
 def is_weakly_connected(g: DiGraph) -> bool:
@@ -214,12 +218,7 @@ def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], tuple]:
     variables can be exponentially many (K_{2x20} has 2^20 of them).
     """
     size = targets[0].n
-    succ = [[0] * size for _ in targets]
-    pred = [[0] * size for _ in targets]
-    for t, h in enumerate(targets):
-        for a, b in h.edges:
-            succ[t][a] |= 1 << b
-            pred[t][b] |= 1 << a
+    succ, pred = zip(*(h._masks for h in targets))
     loops = [sum(1 << x for x in range(size) if rows[x] >> x & 1) for rows in succ]
     domains = [(1 << size) - 1] * n
     pair_tables: dict[Edge, list[int]] = {}
@@ -438,14 +437,16 @@ def core(g: DiGraph) -> Homomorphism:
     - a graph with a loop retracts onto its least looped vertex;
     - a symmetric loopless bipartite graph with an edge retracts onto its
       least edge, through a 2-colouring;
-    - a loopless graph with every two vertices adjacent is a core, as a map
-      to fewer vertices merges two of them;
-    - twins, vertices with the same out- and in-neighbours, fold onto the
-      last of them before the search, which tries the last ones only.  No
-      two twins are adjacent, as there is no loop, and the kept vertices
-      are the same: the search would remove an earlier twin, whose twin is
-      still there later, and for any other v a map C -> C - v exists before
-      the fold iff one exists after it, composing with the fold;
+    - u is dominated by a later vertex v when its out- and in-neighbours
+      among the vertices not yet folded are among v's (twins when equal).
+      Taken downwards, u folds onto the image w of the last such v, which
+      dominates u too, by transitivity; an edge between u and w would put
+      a loop at w, so u -> w keeps every edge and the folds compose into a
+      retraction.  The kept vertices are the same: when the search reaches
+      u, the folds of later vertices and then u's map C into C - u, and a
+      map C -> C - x, x kept, exists iff one exists after the folds;
+    - the kept vertices, after the fold, form a core when every two are
+      adjacent, as a map to fewer vertices merges two of them;
     - on a symmetric graph with odd girth k, v stays when C - v is
       bipartite or has odd girth above k (always so when C has at most k
       vertices, so odd cycles are cores at once), since a map sends a
@@ -462,16 +463,15 @@ def core(g: DiGraph) -> Homomorphism:
         a, b = min(g.edges)
         ends = (a, b) if colour[a] == 0 else (b, a)
         return _retraction(g, sorted((a, b)), [ends[x] for x in colour])
-    kept = list(range(g.n))
-    if len({frozenset(e) for e in g.edges}) == g.n * (g.n - 1) // 2:
-        return _retraction(g, kept, kept)
-    outs, ins = [0] * g.n, [0] * g.n
-    for a, b in g.edges:
-        outs[a] |= 1 << b
-        ins[b] |= 1 << a
-    last = {sides: v for v, sides in enumerate(zip(outs, ins))}
-    image = [last[sides] for sides in zip(outs, ins)]
-    kept = sorted(last.values())
+    outs, ins = g._masks
+    image, mask = list(range(g.n)), (1 << g.n) - 1
+    for u in reversed(range(g.n)):
+        image[u] = next((image[v] for v in reversed(range(u + 1, g.n))
+                         if not (outs[u] & ~outs[v] | ins[u] & ~ins[v]) & mask), u)
+        mask ^= (image[u] != u) << u
+    kept = [v for v in range(g.n) if image[v] == v]
+    if all((outs[v] | ins[v] | 1 << v) & mask == mask for v in kept):
+        return _retraction(g, kept, image)
     girth = odd_girth(g) if symmetric else None
     for v in kept.copy():
         rest = [u for u in kept if u != v]

@@ -28,6 +28,13 @@ def _random_digraph(rng: random.Random, n: int) -> DiGraph:
                                 if rng.random() < p and (a != b or rng.random() < 0.2)))
 
 
+def _clique_minus(n: int, *pairs: tuple[int, int]) -> DiGraph:
+    """K_n without the edges joining each of the given pairs."""
+    missing = [set(pair) for pair in pairs]
+    return DiGraph(n, frozenset((a, b) for a in range(n) for b in range(n)
+                                if a != b and {a, b} not in missing))
+
+
 def _check_core(g: DiGraph) -> None:
     r = core(g)
     c = r.target
@@ -91,8 +98,11 @@ def test_core_keeps_the_condition_variable_names() -> None:
 
 
 @pytest.mark.parametrize("g", [cycle(7), clique(3), clique(4), path(6),
-                               DiGraph(3, frozenset({(0, 1), (1, 1)}))],
-                         ids=["C7", "K3", "K4", "P6", "loop"])
+                               DiGraph(3, frozenset({(0, 1), (1, 1)})),
+                               _clique_minus(11, (9, 10)),
+                               _clique_minus(12, (9, 10), (10, 11)),
+                               _clique_minus(12, (8, 9), (9, 10), (10, 11))],
+                         ids=["C7", "K3", "K4", "P6", "loop", "K11-e", "K12-P3", "K12-P4"])
 def test_shortcuts_answer_without_a_search(monkeypatch, g) -> None:
     def no_search(*args, **kwargs):
         raise AssertionError("searched")
@@ -117,12 +127,21 @@ def test_core_targets_are_frozen() -> None:
 def test_twins_fold_before_the_search() -> None:
     # K_11 minus the edge {9, 10}: 9 and 10 have the same neighbours, so 9
     # folds onto 10 and the rest is a clique, which no search can shrink
-    n = 11
-    g = DiGraph(n, frozenset((a, b) for a in range(n) for b in range(n)
-                             if a != b and {a, b} != {9, 10}))
     t0 = time.perf_counter()
-    r = core(g)
+    r = core(_clique_minus(11, (9, 10)))
     assert time.perf_counter() - t0 < 2.0
     assert r.target.labels == tuple(str(v) for v in (*range(9), 10))
     assert r.target.edges == clique(10).edges and r.is_valid()
     assert r.mapping == (*range(9), 9, 9)
+
+
+def test_dominated_vertices_fold_before_the_search() -> None:
+    # K_12 minus the path 9-10-11: no two vertices are twins, but 10's
+    # neighbours 0-8 are among 11's, so 10 folds onto 11 and the rest is a
+    # clique, which no search can shrink
+    t0 = time.perf_counter()
+    r = core(_clique_minus(12, (9, 10), (10, 11)))
+    assert time.perf_counter() - t0 < 2.0
+    assert r.target.labels == tuple(str(v) for v in (*range(10), 11))
+    assert r.target.edges == clique(11).edges and r.is_valid()
+    assert r.mapping == (*range(10), 10, 10)

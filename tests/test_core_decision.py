@@ -72,8 +72,8 @@ def _clique_minus_an_edge(n: int) -> DiGraph:
 
 
 def test_clique_minus_an_edge_reaches_its_core_by_pigeonhole() -> None:
-    # vertex 0 folds onto vertex 1, and every later step asks K11 -> K10 of
-    # the search, which the pigeonhole rule refutes before any expansion
+    # vertex 0 folds onto vertex 1, and the other eleven are pairwise
+    # adjacent, so they are the core without a search
     start = time.perf_counter()
     retraction = core(_clique_minus_an_edge(12))
     assert time.perf_counter() - start < 10

@@ -126,3 +126,26 @@ def test_search_core_takes_constraints_as_arcs_not_flags() -> None:
                  for fn in tree.body
                  if isinstance(fn, ast.FunctionDef) and fn.name == "_arc_search"]
     assert [arg.arg for arg in search.args.kwonlyargs] == ["project"]
+
+
+def test_graph_bitmask_adjacency_is_built_once() -> None:
+    # one adjacency per graph: DiGraph._masks ORs each edge's bit into the
+    # neighbour masks of its ends, and graph.py's other bitmask readers
+    # (odd_girth, is_smooth, _network, core) take the masks from there
+    def ors_edge_bits(loop: ast.AST) -> bool:
+        return isinstance(loop, ast.For) and isinstance(loop.iter, ast.Attribute) \
+            and loop.iter.attr == "edges" \
+            and any(isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+                    and isinstance(node.target, ast.Subscript)
+                    and isinstance(node.value, ast.BinOp)
+                    and isinstance(node.value.op, ast.LShift)
+                    for node in ast.walk(loop))
+
+    (tree,) = [tree for name, tree in _trees() if name == "graph.py"]
+    scopes = [(None, fn) for fn in tree.body] + \
+        [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+         for fn in cls.body]
+    found = [f"{owner}.{fn.name}" if owner else fn.name for owner, fn in scopes
+             if isinstance(fn, ast.FunctionDef)
+             and any(ors_edge_bits(loop) for loop in ast.walk(fn))]
+    assert found == ["DiGraph._masks"]
