@@ -19,12 +19,21 @@ C carried over to G, by renaming its leaves along the inclusion C -> G, and
 checked on all rows.  The ExponentCap on table entries still counts G's
 variables.
 
-The closure engine `_close` enumerates argument combinations as tuples of
-items.  An item of the pair closure is a pair of tables, one canonical
-object per distinct table, and each operation keeps one memo from a tuple
-of argument tables to the composed table, so a combination whose tables
-were composed before costs two dictionary lookups.  A bytes table hashes
-once and caches its hash, so these lookups do not reread its rows.
+The closure engine `_close` hands each operation whole blocks of argument
+combinations, runs that differ only in their last argument ranging over
+the items, and deduplicates what they generate lazily: only as far as the
+worklist needs its next item, or the element cap needs an exact count.  A
+closure that stops at an equal pair thus never hashes the thousands of
+pairs generated past the items it reached, and an item's provenance is its
+index in the stream of blocks, resolved only when a witness is replayed.
+An item of the pair closure is a pair of tables, one canonical object per
+distinct table.  Each operation keeps a memo from a tuple of argument
+tables to the composed table, and a memo row per fixed head and tail of a
+block, from the running argument's table to the composed one: a block
+reads its tables from the row with one `map`, finds the tables the row
+lacks by a set difference, and tests its pairs for equality with one map
+of `operator.is_`.  A bytes table hashes once and caches its hash, so
+these lookups do not reread its rows.
 
 One kernel, `_apply_columns`, composes tables.  On the decision path a
 table over a universe of at most 256 elements is `bytes`, one byte per row.
@@ -44,10 +53,11 @@ re-indexing are folds.  Only `_render` walks each occurrence, to print.
 from __future__ import annotations
 
 import json
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, count, islice, product
+from operator import is_, itemgetter, ne
 from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import (AlgebraFormatError, BadTerm, BudgetExceeded, ExponentCap,
@@ -364,7 +374,7 @@ def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term,
     left, right = both[:length], both[length:]
     if left == right:
         return []
-    return [r for r, (x, y) in enumerate(zip(left, right)) if x != y]
+    return list(compress(range(length), map(ne, left, right)))
 
 
 def verify_witness(a: FiniteAlgebra, c: LoopCondition, t: Term) -> bool:
@@ -388,52 +398,121 @@ def is_compatible(a: FiniteAlgebra, r: Relation) -> bool:
 
 @dataclass
 class _Closure:
+    """What `_close` returns: `items` in the order the closure found them,
+    whether it is `complete`, and the item `found` that stopped it, or None.
+
+    On a found closure `items` holds only the items the worklist reached,
+    then the found item: the combinations generated past them are never
+    deduplicated.  `closure[item]` is an item's provenance, read from the
+    stream as `_term_from_provenance` reads a dict: the seed's own, or (op
+    name, argument items) of the first combination that generated it.
+    """
+
     items: list
-    provenance: dict
     complete: bool
     found: object
+    #: each item's index in the stream of generated items, first occurrence
+    origin: dict
+    #: the provenance of the stream's first items, the seeds
+    seed_provenance: list
+    #: each block as (stream index of its first item, op name, head, lo,
+    #: tail): its item j is name(*head, items[lo + j], *tail)
+    blocks: list
+
+    def __getitem__(self, item) -> tuple:
+        s = self.origin[item]
+        if s < len(self.seed_provenance):
+            return self.seed_provenance[s]
+        start, name, head, lo, tail = \
+            self.blocks[bisect_right(self.blocks, s, key=itemgetter(0)) - 1]
+        return name, head + (self.items[lo + s - start],) + tail
 
 
-def _close(seeds, ops, cap: int, stop: Callable | None = None) -> _Closure:
+def _close(seeds: list, ops, cap: int, stop: Callable | None = None) -> _Closure:
     """Worklist closure with provenance.
 
-    seeds: iterable of (item, provenance); ops: list of (name, arity, fn)
-    where fn maps an argument tuple of items to an item.  Enumerates each
-    argument combination exactly once (at the step of its newest element).
-    Stops early when `stop` accepts a generated item.  Only an operation of
-    arity > 1 pairs the newest item with older ones and slices them; a unary
-    one takes the newest alone, so a closure under unary ops stays linear.
+    seeds: list of (item, provenance), a 0-ary operation's value among
+    them; ops: list of (name, arity, fn) with arity >= 1, where
+    fn(head, column, tail) returns the items name(*head, x, *tail) for x in
+    the list column, in that order.  Step t enumerates each argument
+    combination over items[0..t] that contains items[t] exactly once, in
+    blocks that differ only in their last argument ranging over items: for
+    a binary op, (items[t], items[j]) for j <= t, then (items[i], items[t])
+    for i < t.  A unary op takes the newest item alone, so a closure under
+    unary ops stays linear.
+
+    Blocks join a stream of generated items, which is deduplicated in order
+    only as far as the worklist needs its next item.  Once the items and the
+    rest of the stream together could hold more than `cap` items, it is
+    deduplicated up to cap + 1 items or its end: items are counted exactly
+    there, and the closure stops with cap + 1 items as soon as that many are
+    distinct.  stop(block) is the position
+    of the first item of a block that it accepts, or None; that item ends
+    the closure unless the cap is passed before it.  stop must judge an
+    item by its value, so the first item it accepts is a new one.
     """
-    items: list = []
-    prov: dict = {}
+    res = _Closure([], False, None, {}, [p for _, p in seeds], [])
+    items, origin, blocks = res.items, res.origin, res.blocks
+    cap = max(cap, 0)  # a negative cap, like 0, ends the closure at its first item
+    pending: list = []  # the stream from index base on; pending[:done] is deduplicated
+    base = done = 0
 
-    def candidates():
-        yield from seeds
-        for name, arity, fn in ops:
-            if arity == 0:
-                yield fn(()), (name, ())
-        t = 0
-        while t < len(items):
-            # combinations over items[0..t] containing items[t], grouped by
-            # the position of its first occurrence
-            newest = items[t:t + 1]
-            for name, arity, fn in ops:
-                before, upto = (items[:t], items[:t + 1]) if arity > 1 else ((), ())
-                for p in range(arity):
-                    for args in product(*[before] * p, newest, *[upto] * (arity - 1 - p)):
-                        yield fn(args), (name, args)
-            t += 1
+    def take(target: int) -> None:
+        """Deduplicate the stream in order until `target` items are found or
+        the stream is used up."""
+        nonlocal base, done
+        if len(items) < target:
+            for done, x in enumerate(islice(pending, done, None), done + 1):
+                if x not in origin:
+                    origin[x] = base + done - 1
+                    items.append(x)
+                    if len(items) == target:
+                        break
+        if 2 * done > len(pending):
+            del pending[:done]
+            base, done = base + done, 0
 
-    for item, p in candidates():
-        if item in prov:
-            continue
-        items.append(item)
-        prov[item] = p
-        if stop is not None and stop(item):
-            return _Closure(items, prov, False, item)
+    def push(block: list) -> bool:
+        """Append block to the stream; True if the closure ends in it."""
+        hit = None if stop is None else stop(block)
+        pending.extend(block if hit is None else block[:hit])
+        if len(items) + len(pending) - done > cap:
+            take(cap + 1)
         if len(items) > cap:
-            return _Closure(items, prov, False, None)
-    return _Closure(items, prov, True, None)
+            return True
+        if hit is not None:
+            res.found = block[hit]
+            origin[res.found] = base + len(pending)
+            items.append(res.found)
+        return hit is not None
+
+    if push([x for x, _ in seeds]):
+        return res
+    t = 0
+    while True:
+        take(t + 1)
+        if len(items) <= t:
+            res.complete = True
+            return res
+        before, upto, newest = items[:t], items[:t + 1], items[t]
+        for name, arity, fn in ops:
+            for p in range(arity):
+                # product(before^p, newest, upto^(arity-1-p)), run by run of
+                # its last argument that ranges over items
+                if p < arity - 1:
+                    heads = product(*[before] * p, (newest,), *[upto] * (arity - 2 - p))
+                    lo, column, tail = 0, upto, ()
+                elif p:
+                    heads, lo, column, tail = product(*[before] * (p - 1)), 0, before, (newest,)
+                else:
+                    heads, lo, column, tail = [()], t, [newest], ()
+                if not column:
+                    continue
+                for head in heads:
+                    blocks.append((base + len(pending), name, head, lo, tail))
+                    if push(fn(head, column, tail)):
+                        return res
+        t += 1
 
 
 @dataclass
@@ -462,13 +541,18 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
         if len(g) != k or any(not 0 <= x < a.size for x in g):
             raise ValueError(f"generator {g} is not a valid {k}-tuple")
     seeds = [(g, ("gen", i)) for i, g in enumerate(gens)]
+    seeds += [(_apply_columns(op, a.size, (), k, tuple), (op.name, ()))
+              for op in a.operations if not op.arity]
 
-    ops = [(op.name, op.arity,
-            lambda args, op=op: _apply_columns(op, a.size, args, k, tuple))
-           for op in a.operations]
-    res = _close(seeds, ops, cap)
+    def blockwise(op: Operation):
+        def fn(head, column, tail):
+            return [_apply_columns(op, a.size, head + (x,) + tail, k, tuple) for x in column]
+        return fn
+
+    res = _close(seeds, [(op.name, op.arity, blockwise(op)) for op in a.operations
+                         if op.arity], cap)
     return SubpowerResult(Relation(a.size, k, frozenset(res.items)),
-                          res.provenance, res.complete, len(res.items))
+                          {x: res[x] for x in res.items}, res.complete, len(res.items))
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +611,10 @@ def _first_positions(c: LoopCondition) -> dict[tuple[str, str], int]:
     return first
 
 
+#: The left and the right table of a pair.
+_LEFT, _RIGHT = itemgetter(0), itemgetter(1)
+
+
 def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
                  length: int, cap: int) -> _Closure:
     """Close the pairs (proj_u, proj_v), one per deduplicated edge (u, v) of
@@ -542,30 +630,46 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
     kind = _column_kind(a.size)
     canonical: dict[Column, Column] = {}
 
-    def pairwise(op: Operation):
-        memo: dict[tuple[Column, ...], Column] = {}  # argument tables -> table
+    def compose(op: Operation, tables: tuple[Column, ...]) -> Column:
+        table = _apply_columns(op, a.size, tables, length, kind)
+        return canonical.setdefault(table, table)
 
-        def compose(tables: tuple[Column, ...]) -> Column:
-            table = _apply_columns(op, a.size, tables, length, kind)
-            memo[tables] = got = canonical.setdefault(table, table)
-            return got
+    def blockwise(op: Operation):
+        # memo: argument tables -> table, so the kernel composes each
+        # distinct tuple once; rows: one per (head tables, tail tables), the
+        # table x of the argument that runs over a block -> op(*head, x, *tail)
+        memo: dict[tuple[Column, ...], Column] = {}
+        rows: dict[tuple, dict[Column, Column]] = {}
 
-        def fn(args):
-            left, right = zip(*args) if args else ((), ())
-            got_left = memo.get(left)
-            if got_left is None:
-                got_left = compose(left)
-            got_right = memo.get(right)
-            if got_right is None:
-                got_right = compose(right)
-            return got_left, got_right
+        def side(get: Callable, head: tuple, column: list, tail: tuple):
+            head, xs, tail = tuple(map(get, head)), list(map(get, column)), tuple(map(get, tail))
+            row = rows.get((head, tail))
+            if row is None:
+                row = rows[head, tail] = {}
+            for x in set(xs).difference(row):
+                key = head + (x,) + tail
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = compose(op, key)
+                row[x] = got
+            return map(row.__getitem__, xs)
+
+        def fn(head, column, tail):
+            return list(zip(side(_LEFT, head, column, tail), side(_RIGHT, head, column, tail)))
         return fn
 
-    ops = [(op.name, op.arity, pairwise(op)) for op in a.operations]
+    def first_equal(pairs: list) -> int | None:
+        return next(compress(count(), map(is_, map(_LEFT, pairs), map(_RIGHT, pairs))), None)
+
     proj = {v: canonical.setdefault(col, col) for v, col in columns.items()}
     seeds = [((proj[u], proj[v]), ("pos", pos))
              for (u, v), pos in _first_positions(c).items()]
-    return _close(seeds, ops, cap, stop=lambda pair: pair[0] is pair[1])
+    for op in a.operations:
+        if not op.arity:
+            const = compose(op, ())
+            seeds.append(((const, const), (op.name, ())))
+    ops = [(op.name, op.arity, blockwise(op)) for op in a.operations if op.arity]
+    return _close(seeds, ops, cap, stop=first_equal)
 
 
 def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:
@@ -579,7 +683,7 @@ def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:
         res = _close_pairs(a, c, columns, len(subset), max_elements)
         if res.found is None:
             return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
-        term = _term_from_provenance(res.found, res.provenance)
+        term = _term_from_provenance(res.found, res)
         differ = _differing_rows(a, c, term, full)
         if not differ:
             return Satisfied(term)

@@ -5,6 +5,7 @@ enumeration of maps, naive fixpoints, and dynamic programming over walks.
 """
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from loopcond import (DiGraph, FiniteAlgebra, Gadget, Operation, Relation, Var,
@@ -215,3 +216,74 @@ def isomorphic(g: DiGraph, h: DiGraph) -> bool:
     """Same size, same edge count, and an injective hom: a graph isomorphism."""
     return (g.n == h.n and len(g.edges) == len(h.edges)
             and find_embedding(g, h) is not None)
+
+
+@dataclass
+class EagerClosure:
+    items: list
+    provenance: dict
+    complete: bool
+    found: object
+
+
+def close_eager(seeds, ops, cap: int, stop=None) -> EagerClosure:
+    """The worklist closure that deduplicates every combination as it is
+    generated: the reference the block closure algebra._close is compared
+    against.  ops: (name, arity, fn), fn mapping an argument tuple of items
+    to an item; a 0-ary op's value follows the seeds.  Enumerates each
+    combination once, at the step of its newest item, and stops at the
+    first new item `stop` accepts, or once more than `cap` items are found."""
+    items: list = []
+    prov: dict = {}
+
+    def candidates():
+        yield from seeds
+        for name, arity, fn in ops:
+            if arity == 0:
+                yield fn(()), (name, ())
+        t = 0
+        while t < len(items):
+            newest = items[t:t + 1]
+            for name, arity, fn in ops:
+                before, upto = (items[:t], items[:t + 1]) if arity > 1 else ((), ())
+                for p in range(arity):
+                    for args in product(*[before] * p, newest, *[upto] * (arity - 1 - p)):
+                        yield fn(args), (name, args)
+            t += 1
+
+    for item, p in candidates():
+        if item in prov:
+            continue
+        items.append(item)
+        prov[item] = p
+        if stop is not None and stop(item):
+            return EagerClosure(items, prov, False, item)
+        if len(items) > cap:
+            return EagerClosure(items, prov, False, None)
+    return EagerClosure(items, prov, True, None)
+
+
+def close_pairs_eager(algebra, c, cap: int) -> EagerClosure:
+    """The pair closure of c over all rows, by close_eager: seeds (proj_u,
+    proj_v) for each edge in order of first occurrence, tagged ("pos",
+    position), tables composed row by row with FiniteAlgebra.apply (each
+    distinct argument tuple once), and stopped at the first equal pair."""
+    rows = list(product(range(algebra.size), repeat=len(c.variables)))
+    proj = {v: tuple(row[j] for row in rows) for j, v in enumerate(c.variables)}
+    memo: dict = {}
+
+    def table(op, args: tuple) -> tuple:
+        if (op.name, args) not in memo:
+            memo[op.name, args] = tuple(algebra.apply(op, tuple(col[r] for col in args))
+                                        for r in range(len(rows)))
+        return memo[op.name, args]
+
+    def pairwise(op):
+        return lambda args: tuple(table(op, tuple(pair[i] for pair in args)) for i in (0, 1))
+
+    first: dict = {}
+    for pos, edge in enumerate(zip(c.lhs, c.rhs)):
+        first.setdefault(edge, pos)
+    seeds = [((proj[u], proj[v]), ("pos", pos)) for (u, v), pos in first.items()]
+    ops = [(op.name, op.arity, pairwise(op)) for op in algebra.operations]
+    return close_eager(seeds, ops, cap, stop=lambda pair: pair[0] == pair[1])

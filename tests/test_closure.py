@@ -1,11 +1,20 @@
-"""The closure engine's enumeration order and the projection tables."""
+"""The closure engine's enumeration order, its laziness and its agreement
+with the eager reference closure, and the projection tables."""
 
+import gc
 import hashlib
 import random
 from itertools import product
 
-from loopcond import FiniteAlgebra, Operation, generate_subpower
-from loopcond.algebra import _projections
+import pytest
+
+from helpers import close_pairs_eager
+from loopcond import (DiGraph, FiniteAlgebra, Operation, Satisfied, algebra,
+                      generate_subpower, mod_affine_algebra, parse_condition,
+                      satisfies_condition, term_to_string)
+from loopcond.algebra import (_close_pairs, _projections, _term_from_provenance,
+                              _variable_columns)
+from loopcond.identity import condition_from_graph
 
 
 def _subpower_corpus():
@@ -57,3 +66,103 @@ def test_projections_are_built_in_linear_time() -> None:
     expected = [tuple(row[j] for row in rows) for j in range(3)]
     assert _projections(40, 3) == expected
     assert _projections(40, 3, bytes) == [bytes(col) for col in expected]
+
+
+def _pool_algebra(size: int, pool_seed: int) -> FiniteAlgebra:
+    """A fixed random binary algebra, drawn like the benchmark's pool."""
+    rng = random.Random(pool_seed)
+    return FiniteAlgebra(size, (Operation("f", 2, tuple(rng.randrange(size)
+                                                        for _ in range(size * size))),))
+
+
+def _cycle_condition(n: int):
+    return condition_from_graph(DiGraph(n, frozenset(
+        e for i in range(n) for e in ((i, (i + 1) % n), ((i + 1) % n, i)))))
+
+
+def _pair_cases():
+    """60 seeded random algebras (sizes 2-4, one or two operations of arity
+    0-3) with random conditions on two or three variables."""
+    rng = random.Random(1717)
+    for _ in range(60):
+        size = rng.randint(2, 4)
+        ops = []
+        for i in range(rng.randint(1, 2)):
+            arity = rng.randint(0 if i else 1, 3)
+            ops.append(Operation(f"f{i}", arity,
+                                 tuple(rng.randrange(size) for _ in range(size ** arity))))
+        names = "xyz"[:rng.randint(2, 3)]
+        width = rng.randint(1, 4)
+        lhs, rhs = ([rng.choice(names) for _ in range(width)] for _ in range(2))
+        yield FiniteAlgebra(size, tuple(ops)), \
+            parse_condition(f"t({','.join(lhs)})=t({','.join(rhs)})")
+
+
+def _ints(pair) -> tuple:
+    return tuple(map(tuple, pair))
+
+
+def test_block_closure_matches_the_eager_closure_at_every_cap() -> None:
+    # the cap runs through every value up to the stop point, so it is also
+    # passed inside the block that holds the equal pair, before and after
+    # it; a negative cap ends the closure at its first item, as 0 does
+    found = capped = 0
+    for a, c in _pair_cases():
+        columns, length = _variable_columns(a, c), a.size ** len(c.variables)
+        stop_point = len(close_pairs_eager(a, c, 40).items)
+        for cap in range(-1, stop_point + 1):
+            lazy, eager = _close_pairs(a, c, columns, length, cap), close_pairs_eager(a, c, cap)
+            assert lazy.complete == eager.complete
+            assert (lazy.found is None) == (eager.found is None)
+            if eager.found is not None:
+                found += 1
+                assert _ints(lazy.found) == eager.found
+                assert term_to_string(_term_from_provenance(lazy.found, lazy)) == \
+                    term_to_string(_term_from_provenance(eager.found, eager.provenance))
+            else:
+                capped += not eager.complete
+                assert [_ints(x) for x in lazy.items] == eager.items
+                assert len(lazy.items) == max(cap, 0) + 1 or eager.complete
+    assert found > 100 and capped > 100
+
+
+def test_found_closure_deduplicates_only_what_the_worklist_reached() -> None:
+    # pool algebra 2 of size 4 with C5: the closure that finds the witness
+    # generates 14,290 pairs before the equal one but deduplicates only the
+    # 120 that the worklist took as its newest item
+    closures = []
+
+    def recorded(*args):
+        closures.append(_close_pairs(*args))
+        return closures[-1]
+
+    a, c = _pool_algebra(4, 2), _cycle_condition(5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_close_pairs", recorded)
+        assert isinstance(satisfies_condition(a, c, max_elements=20000), Satisfied)
+    res = closures[-1]
+    assert res.found is res.items[-1]
+    assert (len(res.items), res.origin[res.found]) == (121, 14290)
+    # the found pair is made from the newest item the worklist reached
+    assert any(arg is res.items[-2] for arg in res[res.found][1])
+
+
+def test_a_decision_leaves_no_garbage_cycles() -> None:
+    # a closure whose state sits in a reference cycle stays alive until a
+    # full collection, so its tables pile up between collections
+    queries = [(mod_affine_algebra(m), parse_condition(text))
+               for m in (2, 3, 4)
+               for text in ("t(x,y,y,z,z,x)=t(y,x,z,y,x,z)", "t(x,y)=t(y,x)")]
+    queries += [(_pool_algebra(3, seed), _cycle_condition(n))
+                for seed in (0, 2) for n in (5, 7)]
+    queries.append((_pool_algebra(4, 1), _cycle_condition(5)))
+    for a, c in queries:
+        satisfies_condition(a, c, max_elements=20000)
+    gc.collect()
+    gc.disable()
+    try:
+        for a, c in queries:
+            satisfies_condition(a, c, max_elements=20000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

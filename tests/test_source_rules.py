@@ -50,6 +50,18 @@ def test_package_has_no_self_calling_functions() -> None:
     assert found == []
 
 
+def test_no_class_defined_inside_a_function() -> None:
+    # a class object sits in a reference cycle of its own, so a class made
+    # per call keeps what it refers to alive until a full collection
+    found = [f"{name}:{node.lineno} {node.name}"
+             for name, tree in _trees()
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.ClassDef)]
+    assert found == []
+
+
 def test_only_cli_main_writes_stdout() -> None:
     # subcommands return their text and --json payload and main alone prints
     # one of them, so stdout carries exactly one answer; diagnostics go to stderr
