@@ -7,7 +7,9 @@ by the condition graph's edges reaches a diagonal element.  The closure is
 run on a subset R of the A^n rows, which starts empty: a closure on R
 without a diagonal pair refutes the condition, and a diagonal pair on R is
 replayed from provenance into a candidate term, which is checked on all rows
-and either returned or refuted by rows that then join R.
+and either returned or refuted by rows that then join R.  On R empty every
+table is empty and every pair equal, so the first candidate, the first
+seed's projection x1, needs no closure.
 
 A condition graph G is decided on its core C first, when C is smaller: G
 and C map to each other, so their conditions are equivalent, and the
@@ -21,19 +23,24 @@ variables.
 
 The closure engine `_close` hands each operation whole blocks of argument
 combinations, runs that differ only in their last argument ranging over
-the items, and deduplicates what they generate lazily: only as far as the
-worklist needs its next item, or the element cap needs an exact count.  A
-closure that stops at an equal pair thus never hashes the thousands of
-pairs generated past the items it reached, and an item's provenance is its
+the items.  A block is a tuple of equally long columns, one per component
+of the items (a pair's left and right tables): its running argument is a
+slice of the closure's own component lists, and what it generates stays
+in columns in the stream, which is deduplicated lazily, building an item
+only for each entry read: only as far as the worklist needs its next
+item, or the element cap needs an exact count.  A closure that stops at
+an equal pair thus never builds or hashes the thousands of pairs
+generated past the items it reached, and an item's provenance is its
 index in the stream of blocks, resolved only when a witness is replayed.
 An item of the pair closure is a pair of tables, one canonical object per
-distinct table.  Each operation keeps a memo from a tuple of argument
-tables to the composed table, and a memo row per fixed head and tail of a
-block, from the running argument's table to the composed one: a block
-reads its tables from the row with one `map`, finds the tables the row
-lacks by a set difference, and tests its pairs for equality with one map
-of `operator.is_`.  A bytes table hashes once and caches its hash, so
-these lookups do not reread its rows.
+distinct table.  Each operation keeps a memo row per fixed head and tail
+tables of a block, from the running argument's table to the composed
+one: a block side reads its tables from the row with one `map`, and only
+when the row lacks some finds them by a set difference and composes them
+all in one kernel call, on the running tables joined and each head and
+tail table repeated as often.  A block's pairs are tested for equality
+with one map of `operator.is_` over its two columns.  A bytes table
+hashes once and caches its hash, so these lookups do not reread its rows.
 
 One kernel, `_apply_columns`, composes tables.  On the decision path a
 table over a universe of at most 256 elements is `bytes`, one byte per row.
@@ -56,7 +63,7 @@ import json
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice, product
+from itertools import chain, compress, islice, product, repeat
 from operator import is_, itemgetter, ne
 from typing import TYPE_CHECKING, Callable, Union
 
@@ -288,7 +295,7 @@ def _apply_columns(op: Operation, size: int, cols, length: int, kind: type) -> C
     """
     if op.arity == 0:
         return kind((op.table[0],)) * length
-    if kind is bytes and size ** op.arity <= 256:
+    if kind is bytes and len(op.table) <= 256:
         index = 0
         for col in cols:
             index = index * size + int.from_bytes(col, "little")
@@ -338,11 +345,16 @@ def evaluate_term(a: FiniteAlgebra, t: Term, args: tuple[int, ...]) -> int:
     return _term_column(a, t, [(x,) for x in args], 1, tuple)[0]
 
 
+def _concat(kind: type, columns) -> Column:
+    """The columns, all of type `kind`, joined into one at C speed."""
+    return b"".join(columns) if kind is bytes else tuple(chain.from_iterable(columns))
+
+
 def _projections(size: int, n: int, kind: type = tuple) -> list[Column]:
     """The n projection tables over all size^n rows, last variable fastest,
     as columns of type `kind`: column j runs through range(size), each value
     size^(n-1-j) times in a row, size^j times over."""
-    return [kind(x for x in range(size) for _ in range(size ** (n - 1 - j))) * size ** j
+    return [_concat(kind, [kind((x,)) * size ** (n - 1 - j) for x in range(size)]) * size ** j
             for j in range(n)]
 
 
@@ -403,9 +415,9 @@ class _Closure:
 
     On a found closure `items` holds only the items the worklist reached,
     then the found item: the combinations generated past them are never
-    deduplicated.  `closure[item]` is an item's provenance, read from the
-    stream as `_term_from_provenance` reads a dict: the seed's own, or (op
-    name, argument items) of the first combination that generated it.
+    built into items.  `closure[item]` is an item's provenance, read from
+    the stream as `_term_from_provenance` reads a dict: the seed's own, or
+    (op name, argument items) of the first combination that generated it.
     """
 
     items: list
@@ -432,85 +444,107 @@ def _close(seeds: list, ops, cap: int, stop: Callable | None = None) -> _Closure
     """Worklist closure with provenance.
 
     seeds: list of (item, provenance), a 0-ary operation's value among
-    them; ops: list of (name, arity, fn) with arity >= 1, where
-    fn(head, column, tail) returns the items name(*head, x, *tail) for x in
-    the list column, in that order.  Step t enumerates each argument
-    combination over items[0..t] that contains items[t] exactly once, in
-    blocks that differ only in their last argument ranging over items: for
-    a binary op, (items[t], items[j]) for j <= t, then (items[i], items[t])
-    for i < t.  A unary op takes the newest item alone, so a closure under
-    unary ops stays linear.
+    them.  Items are equally long tuples, and a block is a tuple of their
+    components, each a column (a list) of equal length.  ops: list of (name,
+    arity, fn) with arity >= 1, where fn(head, column, tail) returns the
+    block of items name(*head, x, *tail) for x running over the block
+    `column`, whose columns are slices of the closure's own: one list per
+    component of the items, extended before each step.  Step t enumerates
+    each argument combination over items[0..t] that contains items[t]
+    exactly once, in blocks that differ only in their last argument ranging
+    over items: for a binary op, (items[t], items[j]) for j <= t, then
+    (items[i], items[t]) for i < t.  A unary op takes the newest item
+    alone, so a closure under unary ops stays linear.
 
-    Blocks join a stream of generated items, which is deduplicated in order
-    only as far as the worklist needs its next item.  Once the items and the
-    rest of the stream together could hold more than `cap` items, it is
-    deduplicated up to cap + 1 items or its end: items are counted exactly
-    there, and the closure stops with cap + 1 items as soon as that many are
-    distinct.  stop(block) is the position
-    of the first item of a block that it accepts, or None; that item ends
-    the closure unless the cap is passed before it.  stop must judge an
-    item by its value, so the first item it accepts is a new one.
+    Blocks join a stream of generated items, kept as columns, which is
+    deduplicated in order only as far as the worklist needs its next item;
+    an item tuple is built only for the entries deduplicated.  Once the
+    items and the rest of the stream together could hold more than `cap`
+    items, it is deduplicated up to cap + 1 items or its end: items are
+    counted exactly there, and the closure stops with cap + 1 items as soon
+    as that many are distinct.  stop(block) is the position of the first
+    item of a block that it accepts, or None; that item ends the closure
+    unless the cap is passed before it.  stop must judge an item by its
+    value, so the first item it accepts is a new one.
     """
     res = _Closure([], False, None, {}, [p for _, p in seeds], [])
     items, origin, blocks = res.items, res.origin, res.blocks
     cap = max(cap, 0)  # a negative cap, like 0, ends the closure at its first item
-    pending: list = []  # the stream from index base on; pending[:done] is deduplicated
-    base = done = 0
+    seed_block = list(zip(*[x for x, _ in seeds]))
+    columns: list[list] = [[] for _ in seed_block]
+    # the stream from index base on: `size` entries, one list per component
+    # (there may be none); its first `done` are deduplicated
+    pending: list[list] = [[] for _ in seed_block]
+    base = done = size = 0
 
     def take(target: int) -> None:
         """Deduplicate the stream in order until `target` items are found or
         the stream is used up."""
-        nonlocal base, done
+        nonlocal base, done, size
         if len(items) < target:
-            for done, x in enumerate(islice(pending, done, None), done + 1):
+            stream = zip(*map(islice, pending, repeat(done), repeat(None))) if pending \
+                else repeat((), size - done)
+            for done, x in enumerate(stream, done + 1):
                 if x not in origin:
                     origin[x] = base + done - 1
                     items.append(x)
                     if len(items) == target:
                         break
-        if 2 * done > len(pending):
-            del pending[:done]
-            base, done = base + done, 0
+        if 2 * done > size:
+            for p in pending:
+                del p[:done]
+            base, size, done = base + done, size - done, 0
 
-    def push(block: list) -> bool:
-        """Append block to the stream; True if the closure ends in it."""
+    def push(block, length: int) -> bool:
+        """Append block, of `length` items, to the stream; True if the
+        closure ends in it."""
+        nonlocal size
         hit = None if stop is None else stop(block)
-        pending.extend(block if hit is None else block[:hit])
-        if len(items) + len(pending) - done > cap:
+        if hit is not None:
+            found = tuple(map(itemgetter(hit), block))
+            block, length = [col[:hit] for col in block], hit
+        for p, col in zip(pending, block):
+            p.extend(col)
+        size += length
+        if len(items) + size - done > cap:
             take(cap + 1)
         if len(items) > cap:
             return True
         if hit is not None:
-            res.found = block[hit]
-            origin[res.found] = base + len(pending)
-            items.append(res.found)
+            res.found = found
+            origin[found] = base + size
+            items.append(found)
         return hit is not None
 
-    if push([x for x, _ in seeds]):
+    if push(seed_block, len(seeds)):
         return res
-    t = 0
+    t = known = 0
     while True:
         take(t + 1)
         if len(items) <= t:
             res.complete = True
             return res
+        for col, new in zip(columns, zip(*items[known:])):
+            col.extend(new)
+        known = len(items)
         before, upto, newest = items[:t], items[:t + 1], items[t]
         for name, arity, fn in ops:
             for p in range(arity):
                 # product(before^p, newest, upto^(arity-1-p)), run by run of
-                # its last argument that ranges over items
+                # its last argument, items[lo:hi]
                 if p < arity - 1:
                     heads = product(*[before] * p, (newest,), *[upto] * (arity - 2 - p))
-                    lo, column, tail = 0, upto, ()
+                    lo, hi, tail = 0, t + 1, ()
                 elif p:
-                    heads, lo, column, tail = product(*[before] * (p - 1)), 0, before, (newest,)
+                    heads, lo, hi, tail = product(*[before] * (p - 1)), 0, t, (newest,)
                 else:
-                    heads, lo, column, tail = [()], t, [newest], ()
-                if not column:
+                    heads, lo, hi, tail = [()], t, t + 1, ()
+                if lo == hi:
                     continue
+                column = [col[lo:hi] for col in columns]
                 for head in heads:
-                    blocks.append((base + len(pending), name, head, lo, tail))
-                    if push(fn(head, column, tail)):
+                    blocks.append((base + size, name, head, lo, tail))
+                    if push(fn(head, column, tail), hi - lo):
                         return res
         t += 1
 
@@ -545,8 +579,12 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
               for op in a.operations if not op.arity]
 
     def blockwise(op: Operation):
+        # coordinate j of a block is one kernel call over the block, each
+        # head and tail item's coordinate j repeated along it
         def fn(head, column, tail):
-            return [_apply_columns(op, a.size, head + (x,) + tail, k, tuple) for x in column]
+            return [_apply_columns(op, a.size, [(h[j],) * len(xs) for h in head] + [xs]
+                                   + [(x[j],) * len(xs) for x in tail], len(xs), tuple)
+                    for j, xs in enumerate(column)]
         return fn
 
     res = _close(seeds, [(op.name, op.arity, blockwise(op)) for op in a.operations
@@ -611,8 +649,9 @@ def _first_positions(c: LoopCondition) -> dict[tuple[str, str], int]:
     return first
 
 
-#: The left and the right table of a pair.
-_LEFT, _RIGHT = itemgetter(0), itemgetter(1)
+def _sides(pairs: tuple) -> tuple:
+    """The left tables and the right tables of pairs, as two tuples."""
+    return tuple(zip(*pairs)) or ((), ())
 
 
 def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
@@ -625,48 +664,61 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
     _column_kind(a.size).  Items are pairs of tables, one canonical object
     per distinct table, so an equal pair is one whose two tables are the
     same object; each seed is tagged ("pos", first position of its edge),
-    each generated pair (op name, argument pairs).
+    each generated pair (op name, argument pairs).  A block is its column of
+    left tables and its column of right tables.
     """
     kind = _column_kind(a.size)
     canonical: dict[Column, Column] = {}
 
-    def compose(op: Operation, tables: tuple[Column, ...]) -> Column:
-        table = _apply_columns(op, a.size, tables, length, kind)
-        return canonical.setdefault(table, table)
-
     def blockwise(op: Operation):
-        # memo: argument tables -> table, so the kernel composes each
-        # distinct tuple once; rows: one per (head tables, tail tables), the
-        # table x of the argument that runs over a block -> op(*head, x, *tail)
-        memo: dict[tuple[Column, ...], Column] = {}
+        # one memo row per (head tables, tail tables): the table x of the
+        # argument that runs over a block -> op(*head, x, *tail)
         rows: dict[tuple, dict[Column, Column]] = {}
 
-        def side(get: Callable, head: tuple, column: list, tail: tuple):
-            head, xs, tail = tuple(map(get, head)), list(map(get, column)), tuple(map(get, tail))
+        def side(head: tuple, xs: list, tail: tuple) -> list:
+            # read from the row when it holds every x (not tried on a fresh
+            # row, nor on one that lacks the last x); else compose first
+            # what it lacks
             row = rows.get((head, tail))
             if row is None:
                 row = rows[head, tail] = {}
-            for x in set(xs).difference(row):
-                key = head + (x,) + tail
-                got = memo.get(key)
-                if got is None:
-                    got = memo[key] = compose(op, key)
-                row[x] = got
-            return map(row.__getitem__, xs)
+            elif xs[-1] in row:
+                try:
+                    return list(map(row.__getitem__, xs))
+                except KeyError:
+                    pass
+            missing = set(xs).difference(row)
+            if len(missing) == 1:
+                x, = missing
+                table = _apply_columns(op, a.size, head + (x,) + tail, length, kind)
+                row[x] = canonical.setdefault(table, table)
+            else:
+                # all missing tables in one kernel call: each head and tail
+                # table repeated once per missing table, those joined
+                m, missing = len(missing), list(missing)
+                table = _apply_columns(op, a.size, [h * m for h in head] + [_concat(kind, missing)]
+                                       + [x * m for x in tail], m * length, kind)
+                for i, x in enumerate(missing):
+                    piece = table[i * length:(i + 1) * length]
+                    row[x] = canonical.setdefault(piece, piece)
+            return list(map(row.__getitem__, xs))
 
         def fn(head, column, tail):
-            return list(zip(side(_LEFT, head, column, tail), side(_RIGHT, head, column, tail)))
+            (hl, hr), (tl, tr), (lefts, rights) = _sides(head), _sides(tail), column
+            return side(hl, lefts, tl), side(hr, rights, tr)
         return fn
 
-    def first_equal(pairs: list) -> int | None:
-        return next(compress(count(), map(is_, map(_LEFT, pairs), map(_RIGHT, pairs))), None)
+    def first_equal(block) -> int | None:
+        equal = list(map(is_, *block))
+        return equal.index(True) if True in equal else None
 
     proj = {v: canonical.setdefault(col, col) for v, col in columns.items()}
     seeds = [((proj[u], proj[v]), ("pos", pos))
              for (u, v), pos in _first_positions(c).items()]
     for op in a.operations:
         if not op.arity:
-            const = compose(op, ())
+            const = _apply_columns(op, a.size, (), length, kind)
+            const = canonical.setdefault(const, const)
             seeds.append(((const, const), (op.name, ())))
     ops = [(op.name, op.arity, blockwise(op)) for op in a.operations if op.arity]
     return _close(seeds, ops, cap, stop=first_equal)
@@ -678,12 +730,10 @@ def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:
     full = _variable_columns(a, c)
     kind = _column_kind(a.size)
     subset: list[int] = []
+    # on no rows every pair is equal, so the closure would stop at its first
+    # seed, the projection pair of position 0: the first candidate is x1
+    term: Term = Var(0)
     while True:
-        columns = {v: kind(map(col.__getitem__, subset)) for v, col in full.items()}
-        res = _close_pairs(a, c, columns, len(subset), max_elements)
-        if res.found is None:
-            return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
-        term = _term_from_provenance(res.found, res)
         differ = _differing_rows(a, c, term, full)
         if not differ:
             return Satisfied(term)
@@ -691,6 +741,11 @@ def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:
             raise AssertionError("extracted witness differs on a row it was closed over")
         for row in differ[:max(1, len(subset))]:
             insort(subset, row)
+        columns = {v: kind(map(col.__getitem__, subset)) for v, col in full.items()}
+        res = _close_pairs(a, c, columns, len(subset), max_elements)
+        if res.found is None:
+            return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
+        term = _term_from_provenance(res.found, res)
 
 
 def _reindex(t: Term, positions: list[int]) -> Term:

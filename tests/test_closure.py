@@ -12,8 +12,8 @@ from helpers import close_pairs_eager
 from loopcond import (DiGraph, FiniteAlgebra, Operation, Satisfied, algebra,
                       generate_subpower, mod_affine_algebra, parse_condition,
                       satisfies_condition, term_to_string)
-from loopcond.algebra import (_close_pairs, _projections, _term_from_provenance,
-                              _variable_columns)
+from loopcond.algebra import (_close_pairs, _column_kind, _projections,
+                              _term_from_provenance, _variable_columns)
 from loopcond.identity import condition_from_graph
 
 
@@ -98,8 +98,46 @@ def _pair_cases():
             parse_condition(f"t({','.join(lhs)})=t({','.join(rhs)})")
 
 
+def _generic_pair_cases():
+    """Algebras past the packed kernel's 256 table entries (17^2 = 289 and
+    7^3 = 343), so their bytes columns take the generic path: a random
+    table, one with a 2-element image, a sparse one, and the first
+    projection with 0 and 1 swapped, each with two two-variable conditions."""
+    rng = random.Random(1820)
+    swap = {0: 1, 1: 0}
+    for size, arity in ((17, 2), (7, 3)):
+        n, run = size ** arity, size ** (arity - 1)
+        image = rng.sample(range(size), 2)
+        for table in ([rng.randrange(size) for _ in range(n)],
+                      [rng.choice(image) for _ in range(n)],
+                      [rng.randrange(size) if rng.random() < 0.3 else 0 for _ in range(n)],
+                      [swap.get(i // run, i // run) for i in range(n)]):
+            a = FiniteAlgebra(size, (Operation("f", arity, tuple(table)),))
+            for text in ("t(x,y)=t(y,x)", "t(x,x)=t(y,y)"):
+                yield a, parse_condition(text)
+
+
 def _ints(pair) -> tuple:
     return tuple(map(tuple, pair))
+
+
+def _compare_with_eager(a, c, caps) -> str:
+    """Check _close_pairs against close_pairs_eager at each cap: the found
+    pair and its replayed term, `complete` and the capped items.  Returns
+    how the last closure ended: "found", "capped" or "complete"."""
+    columns, length = _variable_columns(a, c), a.size ** len(c.variables)
+    for cap in caps:
+        lazy, eager = _close_pairs(a, c, columns, length, cap), close_pairs_eager(a, c, cap)
+        assert lazy.complete == eager.complete
+        assert (lazy.found is None) == (eager.found is None)
+        if eager.found is not None:
+            assert _ints(lazy.found) == eager.found
+            assert term_to_string(_term_from_provenance(lazy.found, lazy)) == \
+                term_to_string(_term_from_provenance(eager.found, eager.provenance))
+        else:
+            assert [_ints(x) for x in lazy.items] == eager.items
+            assert len(lazy.items) == max(cap, 0) + 1 or eager.complete
+    return "found" if eager.found is not None else "complete" if eager.complete else "capped"
 
 
 def test_block_closure_matches_the_eager_closure_at_every_cap() -> None:
@@ -108,22 +146,27 @@ def test_block_closure_matches_the_eager_closure_at_every_cap() -> None:
     # it; a negative cap ends the closure at its first item, as 0 does
     found = capped = 0
     for a, c in _pair_cases():
-        columns, length = _variable_columns(a, c), a.size ** len(c.variables)
         stop_point = len(close_pairs_eager(a, c, 40).items)
         for cap in range(-1, stop_point + 1):
-            lazy, eager = _close_pairs(a, c, columns, length, cap), close_pairs_eager(a, c, cap)
-            assert lazy.complete == eager.complete
-            assert (lazy.found is None) == (eager.found is None)
-            if eager.found is not None:
-                found += 1
-                assert _ints(lazy.found) == eager.found
-                assert term_to_string(_term_from_provenance(lazy.found, lazy)) == \
-                    term_to_string(_term_from_provenance(eager.found, eager.provenance))
-            else:
-                capped += not eager.complete
-                assert [_ints(x) for x in lazy.items] == eager.items
-                assert len(lazy.items) == max(cap, 0) + 1 or eager.complete
+            ended = _compare_with_eager(a, c, [cap])
+            found += ended == "found"
+            capped += ended == "capped"
     assert found > 100 and capped > 100
+
+
+def test_block_closure_matches_the_eager_closure_on_the_generic_kernel_path() -> None:
+    # a block's missing tables are composed in one kernel call on joined
+    # columns; here that call takes the generic path.  The eager closure
+    # composes 289-row tables row by row, so the caps are the ends and the
+    # stop point's neighbourhood, not every value
+    ended = []
+    for a, c in _generic_pair_cases():
+        assert _column_kind(a.size) is bytes and len(a.operations[0].table) > 256
+        stop_point = len(close_pairs_eager(a, c, 40).items)
+        caps = sorted({-1, 0, 1, stop_point // 2, stop_point - 2, stop_point - 1, stop_point})
+        ended.append(_compare_with_eager(a, c, caps))
+    assert {kind: ended.count(kind) for kind in set(ended)} == \
+        {"found": 5, "capped": 7, "complete": 4}
 
 
 def test_found_closure_deduplicates_only_what_the_worklist_reached() -> None:
@@ -145,6 +188,26 @@ def test_found_closure_deduplicates_only_what_the_worklist_reached() -> None:
     assert (len(res.items), res.origin[res.found]) == (121, 14290)
     # the found pair is made from the newest item the worklist reached
     assert any(arg is res.items[-2] for arg in res[res.found][1])
+
+
+def test_deciding_composes_each_blocks_new_tables_in_one_kernel_call() -> None:
+    # pool algebra 2 of size 4 with C5, as above: a block's sides compose
+    # the tables their memo rows lack in one kernel call each, 404 calls in
+    # all (witness checks included), against 2,074 with one call per
+    # argument tuple
+    calls = 0
+    kernel = algebra._apply_columns
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_apply_columns", counted)
+        assert isinstance(satisfies_condition(_pool_algebra(4, 2), _cycle_condition(5),
+                                              max_elements=20000), Satisfied)
+    assert calls <= 450
 
 
 def test_a_decision_leaves_no_garbage_cycles() -> None:

@@ -3,6 +3,9 @@ sides of the packed range size ** arity <= 256."""
 
 import json
 import random
+from functools import reduce
+from itertools import product
+from operator import add
 
 import pytest
 
@@ -11,7 +14,7 @@ from loopcond import (COMMUTATIVITY_IDENTITY, SIGGERS_IDENTITY, FiniteAlgebra,
                       condition_from_graph, cycle, decision_to_json_dict,
                       mod_affine_algebra, parse_condition, satisfies_condition,
                       verify_witness)
-from loopcond.algebra import _apply_columns
+from loopcond.algebra import Column, _apply_columns
 
 # (size, arity): below 256 entries, exactly 256, above 256, and 0-ary
 KERNEL_CASES = [(1, 2), (2, 1), (2, 3), (3, 3), (4, 2), (5, 3), (6, 3),
@@ -35,6 +38,32 @@ def test_kernel_paths_agree_with_row_by_row_apply(size, arity) -> None:
             got = _apply_columns(op, size, [kind(col) for col in cols], length, kind)
             assert type(got) is kind
             assert tuple(got) == expected
+
+
+# (size, arity) for joined columns: 2, 9 and 216 table entries take the packed
+# path on bytes, 289 and 343 the generic one; tuples always take the generic path
+JOIN_CASES = [(2, 1), (3, 2), (6, 3), (17, 2), (7, 3), (300, 1)]
+
+
+@pytest.mark.parametrize("size, arity", JOIN_CASES, ids=[f"{s}^{k}" for s, k in JOIN_CASES])
+def test_kernel_on_joined_columns_matches_separate_calls(size, arity) -> None:
+    # the pair closure composes m tables in one call: the m running tables
+    # joined, each other argument's table repeated m times
+    rng = random.Random(size * 10 + arity)
+    op = Operation("f", arity, tuple(rng.randrange(size) for _ in range(size ** arity)))
+    kinds = (bytes, tuple) if size <= 256 else (tuple,)
+    for kind, length, m in product(kinds, (0, 1, 9), range(1, 6)):
+        def column() -> Column:
+            return kind(rng.randrange(size) for _ in range(length))
+        fixed, running = [column() for _ in range(arity - 1)], [column() for _ in range(m)]
+        p = rng.randrange(arity)
+        separate = [_apply_columns(op, size, fixed[:p] + [x] + fixed[p:], length, kind)
+                    for x in running]
+        joined = _apply_columns(op, size, [col * m for col in fixed[:p]]
+                                + [reduce(add, running, kind())]
+                                + [col * m for col in fixed[p:]], m * length, kind)
+        assert type(joined) is kind
+        assert joined == reduce(add, separate, kind())
 
 
 def test_lookup_cache_leaves_operation_equality_alone() -> None:
