@@ -55,6 +55,8 @@ ones, and the tuple columns of larger universes and of `generate_subpower`
 Term DAGs are walked by one fold, `_fold`, which visits each distinct
 subterm once: equality, hashing, composition, replay from provenance and
 re-indexing are folds.  Only `_render` walks each occurrence, to print.
+Terms and decisions are slotted dataclasses, without an instance dict, so
+a decision that a caller keeps holds little beyond its witness DAG.
 """
 
 from __future__ import annotations
@@ -187,13 +189,13 @@ def projection_algebra(size: int = 2) -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """Leaf referencing an argument position of the condition's term symbol."""
     index: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class App:
     """An operation applied to argument terms.
 
@@ -596,17 +598,17 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
 # ---------------------------------------------------------------------------
 # the decision procedure
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Satisfied:
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotSatisfied:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceExceeded:
     elements_generated: int
 
@@ -687,20 +689,15 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
                     return list(map(row.__getitem__, xs))
                 except KeyError:
                     pass
-            missing = set(xs).difference(row)
-            if len(missing) == 1:
-                x, = missing
-                table = _apply_columns(op, a.size, head + (x,) + tail, length, kind)
-                row[x] = canonical.setdefault(table, table)
-            else:
-                # all missing tables in one kernel call: each head and tail
-                # table repeated once per missing table, those joined
-                m, missing = len(missing), list(missing)
-                table = _apply_columns(op, a.size, [h * m for h in head] + [_concat(kind, missing)]
-                                       + [x * m for x in tail], m * length, kind)
-                for i, x in enumerate(missing):
-                    piece = table[i * length:(i + 1) * length]
-                    row[x] = canonical.setdefault(piece, piece)
+            # all missing tables in one kernel call: each head and tail table
+            # repeated once per missing table, those joined
+            missing = list(set(xs).difference(row))
+            m = len(missing)
+            table = _apply_columns(op, a.size, [h * m for h in head] + [_concat(kind, missing)]
+                                   + [x * m for x in tail], m * length, kind)
+            for i, x in enumerate(missing):
+                piece = table[i * length:(i + 1) * length]
+                row[x] = canonical.setdefault(piece, piece)
             return list(map(row.__getitem__, xs))
 
         def fn(head, column, tail):

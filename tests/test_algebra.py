@@ -615,6 +615,16 @@ def test_deep_terms_compare_hash_and_repr_without_recursion() -> None:
     assert App("c", ()) != Var(0) and Var(0) != App("c", ())
 
 
+def test_terms_and_decisions_keep_no_instance_dict() -> None:
+    # a caller may hold many decisions, each with its witness DAG
+    decisions = [Satisfied(App("m", (Var(0), Var(1), Var(1)))), NotSatisfied(),
+                 ResourceExceeded(7)]
+    objects = decisions + [decisions[0].term, Var(0)]
+    assert not any(hasattr(x, "__dict__") for x in objects)
+    with pytest.raises(AttributeError):
+        Var(0).index = 1
+
+
 def test_term_rendering_and_evaluation() -> None:
     term = App("m", (Var(0), Var(0), Var(1)))
     assert term_to_string(term) == "m(x1,x1,x2)"
