@@ -55,22 +55,22 @@ ones, and the tuple columns of larger universes and of `generate_subpower`
 Term DAGs are walked by one fold, `_fold`, which visits each distinct
 subterm once: equality, hashing, composition, replay from provenance and
 re-indexing are folds.  Only `_render` walks each occurrence, to print.
-Terms and decisions are slotted dataclasses, without an instance dict, so
-a decision that a caller keeps holds little beyond its witness DAG.
+Terms and decisions are immutable values that name their fields in
+`__slots__`, so they keep no instance dict, and a decision that a caller
+keeps holds little beyond its witness DAG.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, product, repeat
 from operator import is_, itemgetter, ne
 from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import (AlgebraFormatError, BadTerm, BudgetExceeded, ExponentCap,
-                     UniverseMismatch)
+                     UniverseMismatch, _Value)
 from .graph import _decode, _field, core
 from .identity import LoopCondition, condition_from_graph, condition_graph
 
@@ -88,8 +88,7 @@ DEFAULT_MAX_ELEMENTS = 10**6
 Column = Union[bytes, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(_Value):
     """A finitary operation as a dense table, last argument varying fastest.
 
     The table index of (x1, .., xm) is sum of x_i * size^(m-i).
@@ -107,12 +106,11 @@ class Operation:
         return bytes(self.table).ljust(256, b"\0")
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(_Value):
     size: int
     operations: tuple[Operation, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.size < 1:
             raise ValueError("universe must be nonempty")
         names = set()
@@ -189,21 +187,22 @@ def projection_algebra(size: int = 2) -> FiniteAlgebra:
 # ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Value):
     """Leaf referencing an argument position of the condition's term symbol."""
+    __slots__ = ("index",)
     index: int
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class App:
+class App(_Value):
     """An operation applied to argument terms.
 
-    Equality, hashing and repr are structural, like a dataclass's, but walk
-    the term without recursion, so terms of any depth compare and print;
-    equality and hashing fold each shared subterm once.
+    Equality, hashing and repr are structural, as for every value, but App
+    defines its own, which walk the term without recursion, so terms of any
+    depth compare and print; equality and hashing fold each shared subterm
+    once.
     """
 
+    __slots__ = ("op", "args")
     op: str
     args: tuple["Term", ...]
 
@@ -410,7 +409,6 @@ def is_compatible(a: FiniteAlgebra, r: Relation) -> bool:
     return generate_subpower(a, r.arity, r.sorted_tuples(), cap=len(r.tuples)).complete
 
 
-@dataclass
 class _Closure:
     """What `_close` returns: `items` in the order the closure found them,
     whether it is `complete`, and the item `found` that stopped it, or None.
@@ -422,16 +420,17 @@ class _Closure:
     (op name, argument items) of the first combination that generated it.
     """
 
-    items: list
-    complete: bool
-    found: object
-    #: each item's index in the stream of generated items, first occurrence
-    origin: dict
-    #: the provenance of the stream's first items, the seeds
-    seed_provenance: list
-    #: each block as (stream index of its first item, op name, head, lo,
-    #: tail): its item j is name(*head, items[lo + j], *tail)
-    blocks: list
+    def __init__(self, seed_provenance: list):
+        self.items: list = []
+        self.complete = False
+        self.found: object = None
+        #: each item's index in the stream of generated items, first occurrence
+        self.origin: dict = {}
+        #: the provenance of the stream's first items, the seeds
+        self.seed_provenance = seed_provenance
+        #: each block as (stream index of its first item, op name, head, lo,
+        #: tail): its item j is name(*head, items[lo + j], *tail)
+        self.blocks: list = []
 
     def __getitem__(self, item) -> tuple:
         s = self.origin[item]
@@ -469,7 +468,7 @@ def _close(seeds: list, ops, cap: int, stop: Callable | None = None) -> _Closure
     unless the cap is passed before it.  stop must judge an item by its
     value, so the first item it accepts is a new one.
     """
-    res = _Closure([], False, None, {}, [p for _, p in seeds], [])
+    res = _Closure([p for _, p in seeds])
     items, origin, blocks = res.items, res.origin, res.blocks
     cap = max(cap, 0)  # a negative cap, like 0, ends the closure at its first item
     seed_block = list(zip(*[x for x, _ in seeds]))
@@ -551,7 +550,6 @@ def _close(seeds: list, ops, cap: int, stop: Callable | None = None) -> _Closure
         t += 1
 
 
-@dataclass
 class SubpowerResult:
     """Closure of generators inside A^k, with provenance for term extraction.
 
@@ -559,10 +557,12 @@ class SubpowerResult:
     the elements generated so far.
     """
 
-    relation: Relation
-    provenance: dict[tuple[int, ...], tuple]
-    complete: bool
-    elements_generated: int
+    def __init__(self, relation: Relation, provenance: dict[tuple[int, ...], tuple],
+                 complete: bool, elements_generated: int):
+        self.relation = relation
+        self.provenance = provenance
+        self.complete = complete
+        self.elements_generated = elements_generated
 
 
 def generate_subpower(a: FiniteAlgebra, k: int, generators,
@@ -598,18 +598,17 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
 # ---------------------------------------------------------------------------
 # the decision procedure
 
-@dataclass(frozen=True, slots=True)
-class Satisfied:
+class Satisfied(_Value):
+    __slots__ = ("term",)
     term: Term
 
 
-@dataclass(frozen=True, slots=True)
-class NotSatisfied:
-    pass
+class NotSatisfied(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceExceeded:
+class ResourceExceeded(_Value):
+    __slots__ = ("elements_generated",)
     elements_generated: int
 
 

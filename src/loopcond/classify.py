@@ -4,9 +4,9 @@ via graph homomorphisms."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
+from .errors import _Value
 from .graph import (DEFAULT_BUDGET, Homomorphism, algebraic_length, find_hom,
                     has_loop, is_bipartite, is_smooth, is_symmetric,
                     is_weakly_connected)
@@ -20,8 +20,7 @@ class ConditionKind(Enum):
     ORIENTED_UNRESOLVED = "OrientedUnresolved"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Outcome of classify(); the oriented case carries the predicates that
     decide equivalence over finite algebras, informational only."""
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import graph as gr
 from . import identity as ident
@@ -98,7 +97,9 @@ def _cmd_satisfies(args) -> Result:
     lines = []
     code = None
     if args.algebra is not None:
-        a = alg.algebra_from_json(Path(args.algebra).read_text())
+        with open(args.algebra) as f:
+            text = f.read()
+        a = alg.algebra_from_json(text)
         max_entries, max_elements = args.max_entries, args.max_elements
         payload.update(alg.decision_to_json_dict(alg.satisfies_condition(
             a, c,

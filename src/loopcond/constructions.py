@@ -7,23 +7,20 @@ and derives F and Q from those relations."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .errors import NotSymmetric, SizeCap
+from .errors import NotSymmetric, SizeCap, _Value
 from .graph import DiGraph, clique, cycle, find_hom, is_symmetric
 from .ppdef import Gadget, Relation, evaluate, pp_power, relation_to_graph, witness
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Value):
     name: str
     passed: bool
     witness: object = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Value):
     checks: tuple[Check, ...]
 
     @property

@@ -6,11 +6,11 @@ Graphs are immutable; every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import BudgetExceeded, GraphFormatError, NotSymmetric, NotWeaklyConnected
+from .errors import (BudgetExceeded, GraphFormatError, NotSymmetric, NotWeaklyConnected,
+                     _Value)
 
 Edge = tuple[int, int]
 
@@ -18,15 +18,14 @@ Edge = tuple[int, int]
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class DiGraph:
+class DiGraph(_Value):
     """Directed graph on vertices 0..n-1 with optional vertex names."""
 
     n: int
     edges: frozenset[Edge]
     labels: tuple[str, ...] | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         for a, b in self.edges:
@@ -59,15 +58,14 @@ class DiGraph:
         return tuple(outs), tuple(ins)
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(_Value):
     """A vertex map source -> target claimed to preserve all edges."""
 
     source: DiGraph
     target: DiGraph
     mapping: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.mapping) != self.source.n:
             raise ValueError("mapping must be total on the source vertices")
         for v in self.mapping:

@@ -7,9 +7,7 @@ are nonempty runs of alphanumerics and underscores; whitespace is ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-
-from .errors import ArityMismatch, ConditionSyntaxError, EmptyArgs, SymbolMismatch
+from .errors import ArityMismatch, ConditionSyntaxError, EmptyArgs, SymbolMismatch, _Value
 from .graph import DiGraph
 
 #: The 6-ary identity whose assigned graph is the unoriented triangle.
@@ -24,32 +22,31 @@ _EQUATION = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class LoopCondition:
-    """A parsed identity; `variables` lists names in first-occurrence order,
-    and `graph` is the assigned graph, built once (see condition_graph)."""
+class LoopCondition(_Value):
+    """A parsed identity, built from its symbol and sides; `variables` lists
+    names in first-occurrence order.  `graph` is the assigned graph, built
+    once (see condition_graph); it is an attribute, not a field, so
+    equality, hashing and repr leave it out."""
 
     symbol: str
     lhs: tuple[str, ...]
     rhs: tuple[str, ...]
-    variables: tuple[str, ...] = field(init=False)
-    graph: DiGraph = field(init=False, compare=False, repr=False)
+    variables: tuple[str, ...]
 
-    def __post_init__(self):
-        if not _IDENT.match(self.symbol):
-            raise ConditionSyntaxError(f"bad function symbol {self.symbol!r}")
-        for name in self.lhs + self.rhs:
+    def __init__(self, symbol: str, lhs: tuple[str, ...], rhs: tuple[str, ...]):
+        if not _IDENT.match(symbol):
+            raise ConditionSyntaxError(f"bad function symbol {symbol!r}")
+        for name in lhs + rhs:
             if not _IDENT.match(name):
                 raise ConditionSyntaxError(f"bad variable name {name!r}")
-        if not self.lhs or not self.rhs:
+        if not lhs or not rhs:
             raise EmptyArgs("identity sides must have at least one argument")
-        if len(self.lhs) != len(self.rhs):
-            raise ArityMismatch(
-                f"sides have {len(self.lhs)} and {len(self.rhs)} arguments")
-        variables = tuple(dict.fromkeys(self.lhs + self.rhs))
+        if len(lhs) != len(rhs):
+            raise ArityMismatch(f"sides have {len(lhs)} and {len(rhs)} arguments")
+        variables = tuple(dict.fromkeys(lhs + rhs))
         index = {name: i for i, name in enumerate(variables)}
-        edges = frozenset((index[u], index[v]) for u, v in zip(self.lhs, self.rhs))
-        object.__setattr__(self, "variables", variables)
+        edges = frozenset((index[u], index[v]) for u, v in zip(lhs, rhs))
+        super().__init__(symbol, lhs, rhs, variables)
         object.__setattr__(self, "graph", DiGraph(len(variables), edges, variables))
 
     @property

@@ -8,22 +8,20 @@ Evaluating it against input graphs yields the defined relation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
 
-from .errors import ArityNotDivisible, GadgetFormatError, SlotMismatch
+from .errors import ArityNotDivisible, GadgetFormatError, SlotMismatch, _Value
 from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _decode, _field, _ints, _network
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Value):
     """A k-ary relation: a set of k-tuples over 0..universe_size-1."""
 
     universe_size: int
     arity: int
     tuples: frozenset[tuple[int, ...]]
 
-    def __post_init__(self):
+    def _check(self):
         if self.universe_size < 1:
             raise ValueError("universe must be nonempty")
         if self.arity < 0:
@@ -53,8 +51,7 @@ def relation_to_graph(r: Relation) -> DiGraph:
     return DiGraph(r.universe_size, frozenset(r.tuples))
 
 
-@dataclass(frozen=True)
-class Gadget:
+class Gadget(_Value):
     """Pattern graph with typed edges and distinguished output vertices.
 
     typed_edges holds triples (slot, a, b): the image of (a, b) must be an
@@ -67,7 +64,7 @@ class Gadget:
     distinguished: tuple[int, ...]
     slot_count: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.vertex_count < 0 or self.slot_count < 0:
             raise ValueError("counts must be nonnegative")
         for t, a, b in self.typed_edges:

@@ -106,6 +106,13 @@ def least_witnesses_brute(gadget: Gadget, inputs: list[DiGraph]) -> dict:
     return least
 
 
+def pool_algebra(size: int, pool_seed: int) -> FiniteAlgebra:
+    """A fixed random binary algebra, drawn like the benchmark's pool."""
+    rng = random.Random(pool_seed)
+    return FiniteAlgebra(size, (Operation("f", 2, tuple(rng.randrange(size)
+                                                        for _ in range(size * size))),))
+
+
 def random_algebra(rng: random.Random, max_size: int) -> FiniteAlgebra:
     """Universe of 2..max_size elements, one or two operations of arity 1-3,
     the second possibly 0-ary, with random tables."""

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from helpers import (affine_least_brute, random_algebra, subpower_brute, term_eq_brute,
-                     term_value_brute, witness_holds_brute)
+from helpers import (affine_least_brute, pool_algebra, random_algebra, subpower_brute,
+                     term_eq_brute, term_value_brute, witness_holds_brute)
 from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
                       ExponentCap, FiniteAlgebra, LoopCondition, NotSatisfied, Operation,
                       Relation, ResourceExceeded, SIGGERS_IDENTITY, Satisfied,
@@ -623,6 +623,23 @@ def test_terms_and_decisions_keep_no_instance_dict() -> None:
     assert not any(hasattr(x, "__dict__") for x in objects)
     with pytest.raises(AttributeError):
         Var(0).index = 1
+
+
+def test_nonbipartite_loopless_conditions_agree_on_every_algebra() -> None:
+    # the paper's theorem as an oracle the decision procedure does not use:
+    # the conditions of K3, C5 and K4 are all equivalent, so no algebra may
+    # satisfy one and refute another (a capped closure decides nothing)
+    conditions = [condition_from_graph(g) for g in (clique(3), cycle(5), clique(4))]
+    slow = {(3, 33), (3, 37)}  # K3's refutation alone takes 0.5-0.8 s each
+    outcomes = []
+    for size, seed in product((2, 3), range(40)):
+        if (size, seed) in slow:
+            continue
+        a = pool_algebra(size, seed)
+        kinds = {type(satisfies_condition(a, c, max_elements=2000)) for c in conditions}
+        assert not {Satisfied, NotSatisfied} <= kinds, (size, seed, kinds)
+        outcomes.append(kinds)
+    assert outcomes.count({Satisfied}) >= 40 and outcomes.count({NotSatisfied}) >= 10
 
 
 def test_term_rendering_and_evaluation() -> None:

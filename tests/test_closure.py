@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from helpers import close_pairs_eager
+from helpers import close_pairs_eager, pool_algebra
 from loopcond import (DiGraph, FiniteAlgebra, Operation, Satisfied, algebra,
                       generate_subpower, mod_affine_algebra, parse_condition,
                       satisfies_condition, term_to_string)
@@ -66,13 +66,6 @@ def test_projections_are_built_in_linear_time() -> None:
     expected = [tuple(row[j] for row in rows) for j in range(3)]
     assert _projections(40, 3) == expected
     assert _projections(40, 3, bytes) == [bytes(col) for col in expected]
-
-
-def _pool_algebra(size: int, pool_seed: int) -> FiniteAlgebra:
-    """A fixed random binary algebra, drawn like the benchmark's pool."""
-    rng = random.Random(pool_seed)
-    return FiniteAlgebra(size, (Operation("f", 2, tuple(rng.randrange(size)
-                                                        for _ in range(size * size))),))
 
 
 def _cycle_condition(n: int):
@@ -179,7 +172,7 @@ def test_found_closure_deduplicates_only_what_the_worklist_reached() -> None:
         closures.append(_close_pairs(*args))
         return closures[-1]
 
-    a, c = _pool_algebra(4, 2), _cycle_condition(5)
+    a, c = pool_algebra(4, 2), _cycle_condition(5)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "_close_pairs", recorded)
         assert isinstance(satisfies_condition(a, c, max_elements=20000), Satisfied)
@@ -205,7 +198,7 @@ def test_deciding_composes_each_blocks_new_tables_in_one_kernel_call() -> None:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "_apply_columns", counted)
-        assert isinstance(satisfies_condition(_pool_algebra(4, 2), _cycle_condition(5),
+        assert isinstance(satisfies_condition(pool_algebra(4, 2), _cycle_condition(5),
                                               max_elements=20000), Satisfied)
     assert calls <= 450
 
@@ -216,9 +209,9 @@ def test_a_decision_leaves_no_garbage_cycles() -> None:
     queries = [(mod_affine_algebra(m), parse_condition(text))
                for m in (2, 3, 4)
                for text in ("t(x,y,y,z,z,x)=t(y,x,z,y,x,z)", "t(x,y)=t(y,x)")]
-    queries += [(_pool_algebra(3, seed), _cycle_condition(n))
+    queries += [(pool_algebra(3, seed), _cycle_condition(n))
                 for seed in (0, 2) for n in (5, 7)]
-    queries.append((_pool_algebra(4, 1), _cycle_condition(5)))
+    queries.append((pool_algebra(4, 1), _cycle_condition(5)))
     for a, c in queries:
         satisfies_condition(a, c, max_elements=20000)
     gc.collect()

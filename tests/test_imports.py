@@ -2,7 +2,9 @@
 
 `import loopcond` loads the graph side only (errors, graph, identity,
 classify); algebra, ppdef and constructions load on first use, so a CLI
-process compiles only what its subcommand runs.
+process compiles only what its subcommand runs.  No process imports
+`dataclasses` or the `inspect` it pulls in, which cost every CLI run
+start-up time.
 """
 
 import importlib
@@ -82,13 +84,18 @@ def test_unknown_attribute_raises_attribute_error() -> None:
     assert not hasattr(loopcond, "cli_main")
 
 
-# runs cli.main in a fresh interpreter and prints the loopcond modules it loaded
-_FOOTPRINT_CHILD = """
+# standard-library modules that no loopcond process may load
+HEAVY = ("dataclasses", "inspect")
+
+# runs cli.main in a fresh interpreter and prints the loopcond modules it
+# loaded, then those of HEAVY
+_FOOTPRINT_CHILD = f"""
 import contextlib, io, json, sys
 from loopcond.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("loopcond."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("loopcond.")),
+                  [m for m in {HEAVY!r} if m in sys.modules]]))
 """
 
 GRAPH_SIDE = ["loopcond.classify", "loopcond.cli", "loopcond.errors", "loopcond.graph",
@@ -112,18 +119,20 @@ def _run_child(script: str, *argv: str):
 
 
 def test_package_import_loads_the_graph_side_only() -> None:
-    script = """
+    script = f"""
 import json, sys
 import loopcond
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("loopcond."))
 before = loaded()
+heavy = [m for m in {HEAVY!r} if m in sys.modules]
 loopcond.App  # the first use of an algebra name loads algebra alone
-print(json.dumps([before, loaded()]))
+print(json.dumps([before, loaded(), heavy]))
 """
-    before, after = _run_child(script)
+    before, after, heavy = _run_child(script)
     assert before == [m for m in GRAPH_SIDE if m != "loopcond.cli"]
     assert after == sorted(before + ["loopcond.algebra"])
+    assert heavy == []
 
 
 @pytest.mark.parametrize("argv, code, extra", [
@@ -138,4 +147,4 @@ print(json.dumps([before, loaded()]))
 ], ids=["parse", "classify", "graph-info", "implies", "verify", "satisfies", "audit"])
 def test_subcommand_loads_only_what_it_runs(z3_file, argv, code, extra) -> None:
     assert _run_child(_FOOTPRINT_CHILD, *[z3_file if a is None else a for a in argv]) == [
-        code, sorted(GRAPH_SIDE + extra)]
+        code, sorted(GRAPH_SIDE + extra), []]
