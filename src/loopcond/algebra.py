@@ -64,18 +64,15 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right, insort
+from collections.abc import Callable
 from functools import cached_property
-from itertools import chain, compress, islice, product, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from operator import is_, itemgetter, ne
-from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import (AlgebraFormatError, BadTerm, BudgetExceeded, ExponentCap,
                      UniverseMismatch, _Value)
 from .graph import _decode, _field, core
 from .identity import LoopCondition, condition_from_graph, condition_graph
-
-if TYPE_CHECKING:  # generate_subpower imports it when it builds one
-    from .ppdef import Relation
 
 #: Default cap on free-algebra table entries (size ** variables).
 DEFAULT_MAX_ENTRIES = 4096
@@ -85,7 +82,7 @@ DEFAULT_MAX_ELEMENTS = 10**6
 
 #: A table over rows, one element per row: bytes on the decision path when
 #: every element fits in a byte, a tuple of ints otherwise.
-Column = Union[bytes, tuple[int, ...]]
+Column = bytes | tuple[int, ...]
 
 
 class Operation(_Value):
@@ -226,7 +223,7 @@ class App(_Value):
                        lambda s: ",))" if len(s.args) == 1 else "))")
 
 
-Term = Union[Var, App]
+Term = Var | App
 
 
 def _subterms(s: Term) -> tuple[Term, ...]:
@@ -400,7 +397,7 @@ def verify_witness(a: FiniteAlgebra, c: LoopCondition, t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # compatibility and subpower closure
 
-def is_compatible(a: FiniteAlgebra, r: Relation) -> bool:
+def is_compatible(a: FiniteAlgebra, r: "Relation") -> bool:
     """True iff r is closed under every operation applied coordinatewise:
     its closure, capped at |r| elements, stops at the first new tuple."""
     if r.universe_size != a.size:
@@ -528,8 +525,10 @@ def _close(seeds: list, ops, cap: int, stop: Callable | None = None) -> _Closure
         for col, new in zip(columns, zip(*items[known:])):
             col.extend(new)
         known = len(items)
-        before, upto, newest = items[:t], items[:t + 1], items[t]
+        newest = items[t]
         for name, arity, fn in ops:
+            # only heads of arity >= 3 range over earlier items: copy them only then
+            before, upto = (items[:t], items[:t + 1]) if arity > 2 else ((), ())
             for p in range(arity):
                 # product(before^p, newest, upto^(arity-1-p)), run by run of
                 # its last argument, items[lo:hi]
@@ -557,7 +556,7 @@ class SubpowerResult:
     the elements generated so far.
     """
 
-    def __init__(self, relation: Relation, provenance: dict[tuple[int, ...], tuple],
+    def __init__(self, relation: "Relation", provenance: dict[tuple[int, ...], tuple],
                  complete: bool, elements_generated: int):
         self.relation = relation
         self.provenance = provenance
@@ -612,7 +611,7 @@ class ResourceExceeded(_Value):
     elements_generated: int
 
 
-Decision = Union[Satisfied, NotSatisfied, ResourceExceeded]
+Decision = Satisfied | NotSatisfied | ResourceExceeded
 
 
 def decision_to_json_dict(d: Decision) -> dict:
@@ -655,20 +654,18 @@ def _sides(pairs: tuple) -> tuple:
     return tuple(zip(*pairs)) or ((), ())
 
 
-def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
-                 length: int, cap: int) -> _Closure:
+def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict, cap: int) -> _Closure:
     """Close the pairs (proj_u, proj_v), one per deduplicated edge (u, v) of
-    the condition, as `length`-row tables, stopping at the first pair whose
-    two tables are equal.
+    the condition, stopping at the first pair whose two tables are equal.
 
     columns maps each variable to its projection column, of type
-    _column_kind(a.size).  Items are pairs of tables, one canonical object
-    per distinct table, so an equal pair is one whose two tables are the
-    same object; each seed is tagged ("pos", first position of its edge),
-    each generated pair (op name, argument pairs).  A block is its column of
-    left tables and its column of right tables.
+    _column_kind(a.size), one entry per row.  Items are pairs of tables, one
+    canonical object per distinct table, so an equal pair is one whose two
+    tables are the same object; each seed is tagged ("pos", first position
+    of its edge), each generated pair (op name, argument pairs).  A block is
+    its column of left tables and its column of right tables.
     """
-    kind = _column_kind(a.size)
+    kind, length = _column_kind(a.size), len(next(iter(columns.values())))
     canonical: dict[Column, Column] = {}
 
     def blockwise(op: Operation):
@@ -705,8 +702,7 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict,
         return fn
 
     def first_equal(block) -> int | None:
-        equal = list(map(is_, *block))
-        return equal.index(True) if True in equal else None
+        return next(compress(count(), map(is_, *block)), None)
 
     proj = {v: canonical.setdefault(col, col) for v, col in columns.items()}
     seeds = [((proj[u], proj[v]), ("pos", pos))
@@ -738,7 +734,7 @@ def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:
         for row in differ[:max(1, len(subset))]:
             insort(subset, row)
         columns = {v: kind(map(col.__getitem__, subset)) for v, col in full.items()}
-        res = _close_pairs(a, c, columns, len(subset), max_elements)
+        res = _close_pairs(a, c, columns, max_elements)
         if res.found is None:
             return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
         term = _term_from_provenance(res.found, res)

@@ -166,15 +166,18 @@ def clique_Q(g: DiGraph, n: int) -> DiGraph:
 # ---------------------------------------------------------------------------
 # verification reports
 
-def verify_cycle_reduction(k: int, *, size_cap: int = 2500) -> Report:
+_CYCLE_SIZE_CAP = 2500  #: verify_cycle_reduction's cap on k^2: odd k <= 49
+
+
+def verify_cycle_reduction(k: int) -> Report:
     """Check the two graph facts behind shrinking an odd-cycle condition:
     the k^2-cycle maps onto the (k+2)-cycle, and the k-step walk relation of
     the k^2-cycle contains a k-cycle on the vertices 0, k, 2k, ... (and is
     loopless)."""
     if k < 3 or k % 2 == 0:
         raise ValueError("cycle reduction needs odd k >= 3")
-    if k * k > size_cap:
-        raise SizeCap(f"k^2 = {k * k} exceeds the size cap {size_cap}")
+    if k * k > _CYCLE_SIZE_CAP:
+        raise SizeCap(f"k^2 = {k * k} exceeds the size cap {_CYCLE_SIZE_CAP}")
     big = cycle(k * k)
     target = cycle(k + 2)
     hom = find_hom(big, target)

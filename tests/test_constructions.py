@@ -139,7 +139,7 @@ def test_verify_cycle_reduction_preconditions() -> None:
     with pytest.raises(ValueError):
         verify_cycle_reduction(1)
     with pytest.raises(SizeCap):
-        verify_cycle_reduction(7, size_cap=25)
+        verify_cycle_reduction(51)
 
 
 def test_verify_clique_claims_passes() -> None:

@@ -3,8 +3,9 @@
 `import loopcond` loads the graph side only (errors, graph, identity,
 classify); algebra, ppdef and constructions load on first use, so a CLI
 process compiles only what its subcommand runs.  No process imports
-`dataclasses` or the `inspect` it pulls in, which cost every CLI run
-start-up time.
+`dataclasses`, the `inspect` it pulls in, or `typing`, which cost every CLI
+run start-up time.  The child interpreters start without `site`, so that no
+site `.pth` file can load one of them first and hide the package's import.
 """
 
 import importlib
@@ -85,7 +86,7 @@ def test_unknown_attribute_raises_attribute_error() -> None:
 
 
 # standard-library modules that no loopcond process may load
-HEAVY = ("dataclasses", "inspect")
+HEAVY = ("dataclasses", "inspect", "typing")
 
 # runs cli.main in a fresh interpreter and prints the loopcond modules it
 # loaded, then those of HEAVY
@@ -112,7 +113,7 @@ def z3_file(tmp_path_factory):
 
 def _run_child(script: str, *argv: str):
     env = dict(os.environ, PYTHONPATH=str(Path(loopcond.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.stderr == ""
     return json.loads(proc.stdout)
