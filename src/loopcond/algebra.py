@@ -67,11 +67,12 @@ from bisect import bisect_right, insort
 from collections.abc import Callable
 from functools import cached_property
 from itertools import chain, compress, count, islice, product, repeat
-from operator import is_, itemgetter, ne
+from math import gcd
+from operator import is_, itemgetter, mul, ne
 
 from .errors import (AlgebraFormatError, BadTerm, BudgetExceeded, ExponentCap,
                      UniverseMismatch, _Value)
-from .graph import _decode, _field, core
+from .graph import _decode, _field, _potentials, core
 from .identity import LoopCondition, condition_from_graph, condition_graph
 
 #: Default cap on free-algebra table entries (size ** variables).
@@ -860,34 +861,42 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _solve_mod_prime(rows: list[list[int]], rhs: list[int], ncols: int,
-                     p: int) -> tuple[int, ...] | None:
-    """Solve rows * x = rhs over Z_p by reduced row echelon form.
+def _affine_least(m: int, n: int, edges: list, order) -> tuple[int, ...] | None:
+    """The least coefficients, read in `order`, that sum to 1 mod m and
+    balance every vertex of 0..n-1 mod m, one coefficient per edge; or None.
 
-    Deterministic: pivots in ascending column order, free variables set to 0.
+    Balanced coefficients are a flow mod m on the edges.  Let pot and the
+    component roots be _potentials of the still-free edges, P the sum of
+    excess[w] * pot[w] and g the gcd of m and the discrepancies
+    pot[a] + 1 - pot[b] of the free edges (a, b).  A flow of the free edges
+    carrying excess[w] out of each vertex w exists iff each weak component's
+    excess sums to 0 mod m; such a flow sums to -P plus multiples of the
+    cycles' discrepancies, so one sums to `need` iff need + P = 0 mod g.
+    With every edge free this is g = 1.  Then edges are fixed one at a time,
+    each to its least value x that keeps the rest feasible, so every step
+    has one: an edge (u, v) whose ends the other free edges leave in two
+    components must carry u's component's excess, and otherwise x solves
+    (1 + pot[u] - pot[v]) x = need + P mod g, for pot, P and g of the
+    other free edges.
     """
-    aug = [[x % p for x in row] + [b % p] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][col], p - 2, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][-1]:
-            return None
-    x = [0] * ncols
-    for row_i, col in pivots:
-        x[col] = aug[row_i][-1]
+    def free(rest: list) -> tuple[list[int], list[int], int]:
+        pot, root = _potentials(n, rest)
+        return pot, root, gcd(m, *(pot[a] + 1 - pot[b] for a, b in rest))
+
+    if free(edges)[2] != 1:
+        return None
+    excess, need, x = [0] * n, 1, [0] * len(edges)
+    for k, i in enumerate(order):
+        (u, v), (pot, root, g) = edges[i], free([edges[j] for j in order[k + 1:]])
+        if root[u] != root[v]:
+            x[i] = sum(e for e, r in zip(excess, root) if r == root[u]) % m
+        else:
+            a, b = 1 + pot[u] - pot[v], need + sum(map(mul, excess, pot))
+            d = gcd(a, g)
+            x[i] = b // d * pow(a // d, -1, g // d) % (g // d)
+        excess[u] -= x[i]
+        excess[v] += x[i]
+        need -= x[i]
     return tuple(x)
 
 
@@ -896,28 +905,19 @@ def affine_satisfies(m: int, c: LoopCondition) -> tuple[int, ...] | None:
 
     The term clone of (Z_m, x+y-z) is exactly the maps sum(c_i x_i) with
     sum(c_i) = 1 (mod m), so the condition holds there iff some such vector
-    balances each variable's left and right occurrences.  Prime moduli are
-    solved by elimination.  A composite one is refuted mod each prime
-    factor in _PRIME_BASES (a solution mod m is one mod p), and otherwise
-    solved by exhaustive search; moduli from about 3.3e24 up raise ValueError.
+    balances each variable's left and right occurrences: iff m is coprime
+    to the gcd of the condition graph's cycle discrepancies (_affine_least).
+    The answer is the least such vector read from the last position back
+    for a prime m, as elimination with ascending pivots and free variables
+    0 gives it, and read from the first otherwise; moduli from about 3.3e24
+    up raise ValueError, as primality is decided below that bound only.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    rows = [[(u == w) - (v == w) for u, v in zip(c.lhs, c.rhs)] for w in c.variables]
-    rows.append([1] * c.arity)
-    rhs = [0] * len(c.variables) + [1]
-    if _is_prime(m):
-        return _solve_mod_prime(rows, rhs, c.arity, m)
-    if any(m % p == 0 and _solve_mod_prime(rows, rhs, c.arity, p) is None
-           for p in _PRIME_BASES):
-        return None
-    if m ** c.arity > 10**7:
-        raise ValueError("composite modulus too large for exhaustive search")
-    for cand in product(range(m), repeat=c.arity):
-        if all(sum(a * x for a, x in zip(row, cand)) % m == b % m
-               for row, b in zip(rows, rhs)):
-            return cand
-    return None
+    index = {w: i for i, w in enumerate(c.variables)}
+    edges = [(index[u], index[v]) for u, v in zip(c.lhs, c.rhs)]
+    order = range(c.arity)
+    return _affine_least(m, len(index), edges, order[::-1] if _is_prime(m) else order)
 
 
 def affine_remark_audit() -> dict:

@@ -93,29 +93,29 @@ def is_symmetric(g: DiGraph) -> bool:
     return all((b, a) in g.edges for a, b in g.edges)
 
 
-def _potentials(g: DiGraph) -> tuple[list[int], int]:
-    """Potentials of g's vertices and the number of its weak components: a
-    component's least vertex has potential 0, and a spanning tree walked from
-    it adds 1 along an edge and subtracts 1 against one."""
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
+def _potentials(n: int, edges) -> tuple[list[int], list[int]]:
+    """Potentials of the vertices 0..n-1 of the graph with these edges, and
+    each vertex's weak component root, the component's least vertex: a root
+    has potential 0, and a spanning tree walked from it adds 1 along an edge
+    and subtracts 1 against one."""
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b in edges:
         steps[a].append((b, 1))
         steps[b].append((a, -1))
-    pot: list = [None] * g.n
-    components = 0
-    for s in range(g.n):
+    pot: list = [None] * n
+    root = list(range(n))
+    for s in range(n):
         if pot[s] is not None:
             continue
-        components += 1
         pot[s] = 0
         stack = [s]
         while stack:
             v = stack.pop()
             for w, step in steps[v]:
                 if pot[w] is None:
-                    pot[w] = pot[v] + step
+                    pot[w], root[w] = pot[v] + step, s
                     stack.append(w)
-    return pot, components
+    return pot, root
 
 
 def is_bipartite(g: DiGraph) -> bool:
@@ -129,7 +129,7 @@ def _two_colouring(g: DiGraph) -> list[int] | None:
     """A proper 0/1 colouring of a symmetric graph, each component's least
     vertex coloured 0, or None if it has an odd cycle (a loop is one): the
     potentials' parities, unless an edge joins two of equal parity."""
-    pot, _ = _potentials(g)
+    pot, _ = _potentials(g.n, g.edges)
     if any((pot[a] - pot[b]) % 2 == 0 for a, b in g.edges):
         return None
     return [p % 2 for p in pot]
@@ -172,7 +172,7 @@ def is_smooth(g: DiGraph) -> bool:
 
 
 def is_weakly_connected(g: DiGraph) -> bool:
-    return _potentials(g)[1] <= 1
+    return len(set(_potentials(g.n, g.edges)[1])) <= 1
 
 
 def algebraic_length(g: DiGraph) -> int:
@@ -184,8 +184,8 @@ def algebraic_length(g: DiGraph) -> int:
     """
     if g.n == 0 or not g.edges:
         raise NotWeaklyConnected("algebraic length needs at least one edge")
-    pot, components = _potentials(g)
-    if components > 1:
+    pot, root = _potentials(g.n, g.edges)
+    if len(set(root)) > 1:
         raise NotWeaklyConnected("graph is not weakly connected")
     d = 0
     for a, b in g.edges:

@@ -2,20 +2,21 @@ import random
 import time
 from functools import cache
 from itertools import product
+from math import gcd
 
 import pytest
 
 from helpers import (affine_least_brute, pool_algebra, random_algebra, subpower_brute,
                      term_eq_brute, term_value_brute, witness_holds_brute)
 from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
-                      ExponentCap, FiniteAlgebra, LoopCondition, NotSatisfied, Operation,
-                      Relation, ResourceExceeded, SIGGERS_IDENTITY, Satisfied,
+                      ConditionKind, DiGraph, ExponentCap, FiniteAlgebra, LoopCondition,
+                      NotSatisfied, Operation, Relation, ResourceExceeded, SIGGERS_IDENTITY, Satisfied,
                       UniverseMismatch, Var, affine_remark_audit,
                       affine_satisfies, algebra_from_json, algebra_to_json,
-                      clique, condition_from_graph, condition_graph, cycle,
-                      evaluate_term, find_hom, generate_subpower, has_loop,
-                      is_compatible, mod_affine_algebra, parse_condition,
-                      projection_algebra, satisfies_condition, term_to_string,
+                      classify, clique, condition_from_graph, condition_graph, cycle,
+                      directed_cycle, evaluate_term, find_hom, generate_subpower, has_loop,
+                      is_compatible, mod_affine_algebra, parse_condition, path,
+                      petersen, projection_algebra, satisfies_condition, term_to_string,
                       verify_witness)
 from loopcond.algebra import (_differing_rows, _is_prime, _term_from_provenance,
                               _variable_columns)
@@ -320,7 +321,8 @@ def test_affine_solutions_really_balance() -> None:
 
 def test_affine_composite_and_prime_paths_agree_on_solvability() -> None:
     rng = random.Random(404)
-    # m = 4 (exhaustive) vs m = 2 (elimination): a mod-4 witness reduces mod 2
+    # m = 4 (read from the first position) vs m = 2 (read from the last):
+    # a mod-4 witness reduces mod 2
     for _ in range(60):
         arity = rng.randint(1, 4)
         names = [f"v{i}" for i in range(rng.randint(1, 3))]
@@ -330,31 +332,96 @@ def test_affine_composite_and_prime_paths_agree_on_solvability() -> None:
             assert affine_satisfies(2, c) is not None
 
 
+def _random_condition(rng: random.Random, arity: int, variables: int) -> LoopCondition:
+    names = [f"v{i}" for i in range(variables)]
+    return LoopCondition("t", tuple(rng.choice(names) for _ in range(arity)),
+                         tuple(rng.choice(names) for _ in range(arity)))
+
+
 def test_affine_composite_moduli_match_least_brute_solution() -> None:
-    # a system with no solution mod a prime factor p of m has none mod m,
-    # and is refuted before the m^arity search; the others keep its answer
+    # a composite modulus gives the witness least when read from the first
+    # position, with arity small enough for the m^arity brute force
     rng = random.Random(505)
     answers = set()
     for _ in range(300):
-        m = rng.choice((4, 6, 8, 9, 10, 12, 15))
+        m = rng.choice((4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 25, 27))
         arity = rng.randint(1, 4 if m < 9 else 3)
-        names = [f"v{i}" for i in range(rng.randint(1, 3))]
-        c = LoopCondition("t", tuple(rng.choice(names) for _ in range(arity)),
-                          tuple(rng.choice(names) for _ in range(arity)))
+        c = _random_condition(rng, arity, rng.randint(1, 3))
         expected = affine_least_brute(m, c)
         assert affine_satisfies(m, c) == expected, (m, c)
         answers.add(expected is None)
     assert answers == {False, True}
 
 
+def test_affine_prime_moduli_match_least_brute_solution_read_backwards() -> None:
+    # a prime modulus gives the witness least when read from the last
+    # position, which is what elimination with ascending pivots and free
+    # variables set to 0 returns
+    rng = random.Random(606)
+    answers = set()
+    for _ in range(200):
+        m = rng.choice((2, 3, 5, 7))
+        c = _random_condition(rng, rng.randint(1, 6 if m < 5 else 4), rng.randint(1, 4))
+        expected = affine_least_brute(m, c, reverse=True)
+        assert affine_satisfies(m, c) == expected, (m, c)
+        answers.add(expected is None)
+    assert answers == {False, True}
+
+
+def test_affine_solutions_balance_for_large_moduli() -> None:
+    # no brute force reaches these moduli: each answer is checked directly
+    rng = random.Random(707)
+    found = 0
+    for _ in range(40):
+        c = _random_condition(rng, rng.randint(1, 30), rng.randint(1, 8))
+        for m in (2 ** 40, 6 * 10 ** 12, 10 ** 18 + 9):
+            coeffs = affine_satisfies(m, c)
+            if coeffs is None:
+                continue
+            found += 1
+            assert all(0 <= x < m for x in coeffs) and sum(coeffs) % m == 1
+            for w in c.variables:
+                assert (sum(x for x, u in zip(coeffs, c.lhs) if u == w)
+                        - sum(x for x, v in zip(coeffs, c.rhs) if v == w)) % m == 0
+    assert found > 40
+
+
+def test_affine_answers_follow_the_classification() -> None:
+    # (Z_m, x+y-z) satisfies a condition iff m is coprime to the gcd of its
+    # graph's cycle discrepancies: 2 for a symmetric bipartite graph, 1 for
+    # a non-bipartite or looped one, k for the directed k-cycle
+    rng = random.Random(808)
+    graphs = [cycle(k) for k in range(1, 10)] + [clique(k) for k in range(2, 7)] + \
+        [path(k) for k in range(2, 8)] + [petersen()]
+    while len(graphs) < 100:
+        n = rng.randint(1, 7)
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2 * n))}
+        pairs = {(a, b) for a, b in pairs if a != b or rng.random() < 0.3}
+        pairs |= {(v, v) for v in range(n) if not any(v in e for e in pairs)}
+        graphs.append(DiGraph(n, frozenset(e for a, b in pairs for e in ((a, b), (b, a)))))
+    kinds = set()
+    for g in graphs:
+        c = condition_from_graph(g)
+        kind = classify(c).kind
+        kinds.add(kind)
+        for m in range(2, 31):
+            solvable = affine_satisfies(m, c) is not None
+            assert solvable == (m % 2 == 1 or kind is not ConditionKind.BIPARTITE), (g, m)
+    assert kinds == {ConditionKind.BIPARTITE, ConditionKind.NONBIPARTITE_LOOPLESS,
+                     ConditionKind.TRIVIAL}
+    for k in range(1, 13):
+        c = condition_from_graph(directed_cycle(k))
+        for m in range(2, 31):
+            assert (affine_satisfies(m, c) is not None) == (gcd(m, k) == 1), (k, m)
+
+
 def test_affine_composite_modulus_refuted_by_a_prime_factor() -> None:
     # the 12-cycle condition needs 12c = 1, which has no solution mod 2, so
-    # mod 4 and mod 2^40 need no exhaustive search
+    # none mod 4 or mod 2^40; mod 25 it has one, as 12 is coprime to 25
     c = parse_condition("t(a,b,c,d,e,f,g,h,i,j,k,l)=t(b,c,d,e,f,g,h,i,j,k,l,a)")
     assert affine_satisfies(4, c) is None
     assert affine_satisfies(2 ** 40, c) is None
-    with pytest.raises(ValueError):  # solvable mod 5, and 25^12 candidates
-        affine_satisfies(25, c)
+    assert affine_satisfies(25, c) == (23,) * 12
 
 
 def test_affine_rejects_bad_modulus() -> None:

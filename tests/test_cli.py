@@ -166,6 +166,18 @@ def test_satisfies_affine_composite_modulus_refuted_by_a_prime_factor(capsys) ->
     assert capsys.readouterr().out == "affine mod 4: no solution\n"
 
 
+def test_satisfies_affine_composite_moduli_are_exact(capsys) -> None:
+    # 12 is coprime to 25, so the 12-cycle condition holds mod 25 (12 * 23 = 1)
+    cycle12 = "t(a,b,c,d,e,f,g,h,i,j,k,l)=t(b,c,d,e,f,g,h,i,j,k,l,a)"
+    assert main(["satisfies", cycle12, "--affine", "25"]) == 0
+    assert capsys.readouterr().out == f"affine mod 25: coefficients ({','.join(['23'] * 12)})\n"
+    # 2021 = 43 * 47, so the directed 43-cycle condition has no witness mod 2021
+    names = [f"v{i}" for i in range(43)]
+    cycle43 = f"t({','.join(names)})=t({','.join(names[1:] + names[:1])})"
+    assert main(["satisfies", cycle43, "--affine", "2021"]) == 1
+    assert capsys.readouterr().out == "affine mod 2021: no solution\n"
+
+
 def test_satisfies_affine_large_modulus(capsys) -> None:
     assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", "2305843009213693951"]) == 0
     assert capsys.readouterr().out == (

@@ -161,3 +161,16 @@ def test_graph_bitmask_adjacency_is_built_once() -> None:
              if isinstance(fn, ast.FunctionDef)
              and any(ors_edge_bits(loop) for loop in ast.walk(fn))]
     assert found == ["DiGraph._masks"]
+
+
+def test_affine_path_enumerates_no_candidates() -> None:
+    # the affine oracle is exact for every modulus: affine_satisfies and its
+    # solver fix one coefficient at a time and never enumerate vectors
+    functions = {fn.name: fn for name, tree in _trees() if name == "algebra.py"
+                 for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    found = [f"{name}:{node.lineno}"
+             for name in ("affine_satisfies", "_affine_least")
+             for node in ast.walk(functions[name])
+             if (isinstance(node, ast.Name) and node.id == "product")
+             or (isinstance(node, ast.Attribute) and node.attr == "product")]
+    assert found == []
