@@ -830,40 +830,9 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
 # ---------------------------------------------------------------------------
 # affine fast path
 
-#: Miller-Rabin with the primes 2..41 as bases is exact below this bound
-#: (Sorenson and Webster, Math. Comp. 2017).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BASES_BOUND = 3317044064679887385961981
-
-
-def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError at or above the proven bound."""
-    if m >= _PRIME_BASES_BOUND:
-        raise ValueError("modulus too large for the deterministic primality test")
-    if m < 2:
-        return False
-    for p in _PRIME_BASES:
-        if m % p == 0:
-            return m == p
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _affine_least(m: int, n: int, edges: list, order) -> tuple[int, ...] | None:
-    """The least coefficients, read in `order`, that sum to 1 mod m and
-    balance every vertex of 0..n-1 mod m, one coefficient per edge; or None.
+def _affine_least(m: int, n: int, edges: list) -> tuple[int, ...] | None:
+    """The least coefficients, read from the last edge back, that sum to 1
+    mod m and balance every vertex of 0..n-1 mod m, one per edge; or None.
 
     Balanced coefficients are a flow mod m on the edges.  Let pot and the
     component roots be _potentials of the still-free edges, P the sum of
@@ -872,12 +841,12 @@ def _affine_least(m: int, n: int, edges: list, order) -> tuple[int, ...] | None:
     carrying excess[w] out of each vertex w exists iff each weak component's
     excess sums to 0 mod m; such a flow sums to -P plus multiples of the
     cycles' discrepancies, so one sums to `need` iff need + P = 0 mod g.
-    With every edge free this is g = 1.  Then edges are fixed one at a time,
-    each to its least value x that keeps the rest feasible, so every step
-    has one: an edge (u, v) whose ends the other free edges leave in two
+    With every edge free this is g = 1.  Then edges are fixed from the last
+    back, each to its least value x that keeps the rest feasible, so every
+    step has one: an edge (u, v) whose ends the earlier edges leave in two
     components must carry u's component's excess, and otherwise x solves
     (1 + pot[u] - pot[v]) x = need + P mod g, for pot, P and g of the
-    other free edges.
+    earlier edges.
     """
     def free(rest: list) -> tuple[list[int], list[int], int]:
         pot, root = _potentials(n, rest)
@@ -886,8 +855,8 @@ def _affine_least(m: int, n: int, edges: list, order) -> tuple[int, ...] | None:
     if free(edges)[2] != 1:
         return None
     excess, need, x = [0] * n, 1, [0] * len(edges)
-    for k, i in enumerate(order):
-        (u, v), (pot, root, g) = edges[i], free([edges[j] for j in order[k + 1:]])
+    for i in reversed(range(len(edges))):
+        (u, v), (pot, root, g) = edges[i], free(edges[:i])
         if root[u] != root[v]:
             x[i] = sum(e for e, r in zip(excess, root) if r == root[u]) % m
         else:
@@ -907,17 +876,15 @@ def affine_satisfies(m: int, c: LoopCondition) -> tuple[int, ...] | None:
     sum(c_i) = 1 (mod m), so the condition holds there iff some such vector
     balances each variable's left and right occurrences: iff m is coprime
     to the gcd of the condition graph's cycle discrepancies (_affine_least).
-    The answer is the least such vector read from the last position back
-    for a prime m, as elimination with ascending pivots and free variables
-    0 gives it, and read from the first otherwise; moduli from about 3.3e24
-    up raise ValueError, as primality is decided below that bound only.
+    The answer, exact for every modulus, is the least such vector read from
+    the last position back; for a prime m that is what elimination with
+    ascending pivots and free variables 0 gives.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
     index = {w: i for i, w in enumerate(c.variables)}
     edges = [(index[u], index[v]) for u, v in zip(c.lhs, c.rhs)]
-    order = range(c.arity)
-    return _affine_least(m, len(index), edges, order[::-1] if _is_prime(m) else order)
+    return _affine_least(m, len(index), edges)
 
 
 def affine_remark_audit() -> dict:

@@ -65,16 +65,14 @@ def embedding_exists_brute(g: DiGraph, h: DiGraph) -> bool:
                for m in permutations(range(h.n), g.n))
 
 
-def affine_least_brute(m: int, c, reverse: bool = False) -> tuple[int, ...] | None:
-    """The lexicographically least coefficient vector of an affine witness
-    over (Z_m, x+y-z), or None: coefficients summing to 1 mod m such that
-    each variable's left and right coefficients have equal sums mod m.
-    Enumerates all m^arity vectors in lexicographic order; with `reverse`,
-    each vector is read from its last position back, so the answer is the
-    one least in that reading."""
+def affine_least_brute(m: int, c) -> tuple[int, ...] | None:
+    """The coefficient vector of an affine witness over (Z_m, x+y-z) that is
+    least when read from its last position back, or None: coefficients
+    summing to 1 mod m such that each variable's left and right coefficients
+    have equal sums mod m.  Enumerates all m^arity vectors in lexicographic
+    order, each read reversed."""
     for cand in product(range(m), repeat=c.arity):
-        if reverse:
-            cand = cand[::-1]
+        cand = cand[::-1]
         if sum(cand) % m == 1 and all(
                 (sum(x for x, u in zip(cand, c.lhs) if u == w)
                  - sum(x for x, v in zip(cand, c.rhs) if v == w)) % m == 0

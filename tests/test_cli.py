@@ -178,15 +178,25 @@ def test_satisfies_affine_composite_moduli_are_exact(capsys) -> None:
     assert capsys.readouterr().out == "affine mod 2021: no solution\n"
 
 
+def test_satisfies_affine_composite_modulus_reads_from_the_last_position(capsys) -> None:
+    # mod 6 the Siggers condition has several witnesses; the one printed is
+    # least when read from the last position back, as for a prime modulus
+    assert main(["satisfies", "s(x,y,y,z,z,x)=s(y,x,z,y,x,z)", "--affine", "6"]) == 0
+    assert capsys.readouterr().out == "affine mod 6: coefficients (3,2,1,0,1,0)\n"
+
+
 def test_satisfies_affine_large_modulus(capsys) -> None:
     assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", "2305843009213693951"]) == 0
     assert capsys.readouterr().out == (
         "affine mod 2305843009213693951: coefficients "
         "(1152921504606846976,1152921504606846976)\n")
-    assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", str(10**25)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    # no primality test bounds the modulus
+    assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", str(10**25)]) == 1
+    assert capsys.readouterr().out == "affine mod 10000000000000000000000000: no solution\n"
+    assert main(["satisfies", "t(x,y)=t(y,x)", "--affine", str(10**25 + 1)]) == 0
+    half = (10**25 + 2) // 2
+    assert capsys.readouterr().out == \
+        f"affine mod 10000000000000000000000001: coefficients ({half},{half})\n"
 
 
 def test_satisfies_resource_errors(z2_file, capsys) -> None:

@@ -174,3 +174,19 @@ def test_affine_path_enumerates_no_candidates() -> None:
              if (isinstance(node, ast.Name) and node.id == "product")
              or (isinstance(node, ast.Attribute) and node.attr == "product")]
     assert found == []
+
+
+def test_affine_path_has_one_reading_order() -> None:
+    # every modulus is read from the last position back, so algebra.py keeps
+    # no primality test to choose an order and the solver takes no order
+    (tree,) = [tree for name, tree in _trees() if name == "algebra.py"]
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))} | \
+        {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not {name for name in names
+                if name == "_is_prime" or name.startswith("_PRIME_BASES")}
+    (solver,) = [fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_affine_least"]
+    args = solver.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["m", "n", "edges"]
+    assert args.vararg is None and args.kwarg is None
