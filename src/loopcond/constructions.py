@@ -14,13 +14,15 @@ from .graph import DiGraph, clique, cycle, find_hom, is_symmetric
 from .ppdef import Gadget, Relation, evaluate, pp_power, relation_to_graph, witness
 
 
-class Check(_Value):
+class Check(_Value, witness=None):
+    __slots__ = ("name", "passed", "witness")
     name: str
     passed: bool
-    witness: object = None
+    witness: object
 
 
 class Report(_Value):
+    __slots__ = ("checks",)
     checks: tuple[Check, ...]
 
     @property

@@ -1,14 +1,18 @@
 """Exception types shared across the package, and the base of its
 immutable values."""
 
+from operator import attrgetter
+
 
 class _Value:
     """An immutable value, as a frozen dataclass is, without generating code.
 
     A subclass's fields are its own annotated class attributes, in order;
-    one given a value in the class body has that value as its default.  The
-    constructor takes the fields positionally or by keyword, sets them and
-    calls `_check`, which may reject them or set derived attributes with
+    one given a value in the class body, or as a class keyword, has that
+    value as its default (a slot may not share its name with a class
+    attribute, so a slotted field takes the keyword).  The constructor
+    takes the fields positionally or by keyword, sets them and calls
+    `_check`, which may reject them or set derived attributes with
     `object.__setattr__`.  Equality and hashing go by the field tuple, and
     the repr lists the fields; assignment and deletion raise AttributeError.
     A subclass that names its fields in `__slots__` keeps no instance dict.
@@ -16,12 +20,16 @@ class _Value:
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, **defaults):
         super().__init_subclass__()
-        cls._fields = tuple(cls.__annotations__)
+        cls._fields = fields = tuple(cls.__annotations__)
         slots = cls.__dict__.get("__slots__", ())
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
-                         if name in cls.__dict__ and name not in slots}
+        cls._defaults = {name: cls.__dict__[name] for name in fields
+                         if name in cls.__dict__ and name not in slots} | defaults
+        # the field tuple in one C call; attrgetter of one name gives the
+        # bare value, so a one-field class wraps it in a 1-tuple
+        get = attrgetter(*fields) if fields else lambda self: ()
+        cls._values = property(get if len(fields) != 1 else lambda self: (get(self),))
 
     def __init__(self, *args, **kwargs):
         cls, set_field = type(self), object.__setattr__
@@ -43,16 +51,13 @@ class _Value:
     def _check(self) -> None:
         pass
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(" + ", ".join(

@@ -61,6 +61,7 @@ class DiGraph(_Value):
 class Homomorphism(_Value):
     """A vertex map source -> target claimed to preserve all edges."""
 
+    __slots__ = ("source", "target", "mapping")
     source: DiGraph
     target: DiGraph
     mapping: tuple[int, ...]
@@ -257,6 +258,37 @@ def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], tuple]:
     arcs = [[(table, caches.setdefault(table, {}), nbrs) for table, nbrs in g.items()]
             for g in by_row]
     return domains, (arcs, groups)
+
+
+def _twin_classes(graphs: list[DiGraph]) -> list[list[int]]:
+    """The twin classes common to graphs on one vertex set: a partition of
+    the vertices, each class ascending and the classes in order of their
+    least members, such that swapping two vertices of a class is an
+    automorphism of every graph.
+
+    In one graph, i and j are non-adjacent twins when their out- and
+    in-masks agree with the own bit cleared and their loops agree, and
+    adjacent twins when the same holds with the own bit set.  Each is
+    equality of a key, so an equivalence, and no vertex has twins of both
+    kinds: were j a non-adjacent and k an adjacent twin of i, then k -> i
+    would give k -> j, while k, agreeing with i off {i, k}, has no edge to
+    j.  So each graph labels a vertex by the least of its twins, and the
+    common classes group the vertices by their labels in every graph.
+    """
+    labels: list[list[int]] = [[] for _ in range(graphs[0].n)]
+    for g in graphs:
+        outs, ins = g._masks
+        apart: dict[tuple[int, int, int], int] = {}
+        joined: dict[tuple[int, int, int], int] = {}
+        for v, label in enumerate(labels):
+            bit = 1 << v
+            loop = outs[v] >> v & 1
+            label.append(min(apart.setdefault((outs[v] & ~bit, ins[v] & ~bit, loop), v),
+                             joined.setdefault((outs[v] | bit, ins[v] | bit, loop), v)))
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, label in enumerate(labels):
+        classes.setdefault(tuple(label), []).append(v)
+    return list(classes.values())
 
 
 def _arc_search(domains: list[int], constraints: tuple, order: list[int], budget: int,

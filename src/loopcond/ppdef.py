@@ -2,16 +2,20 @@
 
 A gadget is a conjunctive formula in graph form: a vertex set with typed
 edges (one type per binary input slot) and a list of distinguished vertices.
-Evaluating it against input graphs yields the defined relation.
+Evaluating it against input graphs yields the defined relation.  A
+pp-defined relation is invariant under every automorphism common to its
+inputs, so evaluation searches one tuple per orbit of the inputs' twin
+classes and fills in the rest of each orbit.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import chain, permutations, product
 
 from .errors import ArityNotDivisible, GadgetFormatError, SlotMismatch, _Value
-from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _decode, _field, _ints, _network
+from .graph import (DEFAULT_BUDGET, DiGraph, _arc_search, _decode, _field, _ints, _network,
+                    _twin_classes)
 
 
 class Relation(_Value):
@@ -26,6 +30,14 @@ class Relation(_Value):
             raise ValueError("universe must be nonempty")
         if self.arity < 0:
             raise ValueError("arity must be nonnegative")
+        # lengths and distinct values at C speed; only a relation that fails
+        # here, or holds values other than ints, is walked tuple by tuple,
+        # which names the first bad tuple
+        if set(map(len, self.tuples)) <= {self.arity}:
+            values = set(chain.from_iterable(self.tuples))
+            if set(map(type, values)) <= {int} and \
+                    (not values or 0 <= min(values) and max(values) < self.universe_size):
+                return
         for t in self.tuples:
             if len(t) != self.arity:
                 raise ValueError(f"tuple {t} has wrong arity")
@@ -120,6 +132,43 @@ def _gadget_network(gadget: Gadget,
     return domains, constraints, order, len(first)
 
 
+def _checked_twins(inputs: list[DiGraph]) -> list[tuple[int, ...]]:
+    """The twin classes of the inputs with two or more members, each member
+    checked against its class's least vertex: swapping the two must be an
+    automorphism of every input, so the masks agree off the pair, the loops
+    agree, and an edge joins the pair one way iff it joins it the other."""
+    classes = [tuple(c) for c in _twin_classes(inputs) if len(c) > 1]
+    for c in classes:
+        i = c[0]
+        for j in c[1:]:
+            pair = 1 << i | 1 << j
+            for outs, ins in (g._masks for g in inputs):
+                if (outs[i] ^ outs[j]) & ~pair or (ins[i] ^ ins[j]) & ~pair \
+                        or outs[i] >> i & 1 != outs[j] >> j & 1 \
+                        or outs[i] >> j & 1 != outs[j] >> i & 1:
+                    raise AssertionError(
+                        f"swapping twins {i} and {j} is not an automorphism of the inputs")
+    return classes
+
+
+def _orbit(t: tuple[int, ...], classes: list[tuple[int, ...]],
+           where: dict[int, int]) -> list[tuple[int, ...]]:
+    """The tuples that permutations within the twin classes make of t, if t
+    is its orbit's least-first tuple (the members of each class that it
+    uses are the least ones, in order of first occurrence), else none: each
+    injective map of those members into their class gives one."""
+    used: dict[int, list[int]] = {}
+    for x in dict.fromkeys(t):
+        if x in where:
+            used.setdefault(where[x], []).append(x)
+    if any(classes[c][:len(m)] != tuple(m) for c, m in used.items()):
+        return []
+    sources = [x for m in used.values() for x in m]
+    maps = product(*(permutations(classes[c], len(m)) for c, m in used.items()))
+    return [tuple([image.get(x, x) for x in t])
+            for image in (dict(zip(sources, chain.from_iterable(images))) for images in maps)]
+
+
 def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
              budget: int = DEFAULT_BUDGET) -> Relation:
     """The relation defined by the gadget over the given input graphs.
@@ -130,10 +179,33 @@ def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
     consistency assigns the distinguished vertices first; after the first
     full extension of their values it moves on to the next values, so each
     tuple costs one extension rather than a search of its own.
+
+    An automorphism common to all inputs maps the relation onto itself, as
+    it maps every witness to one of the image tuple.  When swapping any two
+    vertices of a twin class (graph._twin_classes, checked here) is such an
+    automorphism, every permutation within the classes is, so the search
+    needs only each orbit's least-first tuple, whose members of each class
+    are the least ones in order of first occurrence.  The i-th distinct
+    distinguished vertex takes values among the i + 1 least members of
+    each class, which keeps every least-first tuple, and each least-first
+    tuple found adds its orbit.  The budget counts the expansions of this
+    search over representatives; with only singleton classes it is the
+    plain search.
     """
     domains, constraints, order, k = _gadget_network(gadget, inputs)
-    found = {tuple(asg[v] for v in gadget.distinguished)
-             for asg in _arc_search(domains, constraints, order, budget, project=k)}
+    classes = _checked_twins(inputs)
+    where = {v: c for c, members in enumerate(classes) for v in members}
+    allowed = ~sum(1 << v for v in where)
+    for i, v in enumerate(order[:k]):
+        allowed |= sum(1 << c[i] for c in classes if i < len(c))
+        domains[v] &= allowed
+    found: set[tuple[int, ...]] = set()
+    for asg in _arc_search(domains, constraints, order, budget, project=k):
+        t = tuple([asg[v] for v in gadget.distinguished])
+        if where:
+            found.update(_orbit(t, classes, where))
+        else:
+            found.add(t)
     return Relation(inputs[0].n, gadget.arity, frozenset(found))
 
 

@@ -45,6 +45,11 @@ _Z3_C6 = "alg.satisfies_condition(mod_affine_algebra(3), condition_from_graph(cy
      "iter([(0,) * len(order)])",
      "pp.witness(pp.Gadget(2, ((0, 0, 1),), (0, 1), 1), [gr.directed_cycle(2)], (0, 1))",
      "search returned an assignment that breaks a constraint"),
+    # 0 and 1 are no twins of the directed 3-cycle: swapping them reverses
+    # the edge between them and moves the edges at 2
+    ("pp._twin_classes = lambda graphs: [[0, 1], [2]]",
+     "pp.evaluate(pp.Gadget(2, ((0, 0, 1),), (0, 1), 1), [gr.directed_cycle(3)])",
+     "swapping twins 0 and 1 is not an automorphism of the inputs"),
     # C6 over Z_3 runs out of elements at 5, and its core (one edge) is
     # satisfied, so its witness is carried to C6
     ("alg.core = lambda g: gr.Homomorphism(\n"
@@ -54,7 +59,8 @@ _Z3_C6 = "alg.satisfies_condition(mod_affine_algebra(3), condition_from_graph(cy
      "alg._refine = lambda a, c, cap: alg.Satisfied(alg.Var(0)) \\\n"
      "    if len(c.variables) < 6 else refine(a, c, cap)",
      _Z3_C6, "witness carried from the core fails on the condition"),
-], ids=["retraction", "core onto", "ppdef witness", "core edge", "carried witness"])
+], ids=["retraction", "core onto", "ppdef witness", "ppdef twins", "core edge",
+        "carried witness"])
 def test_soundness_checks_raise_under_optimize(setup, call, message) -> None:
     # python -O strips assert statements, so the checks must raise by themselves
     script = _OPTIMIZED_CHILD.format(setup=setup, call=call)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +10,8 @@ from loopcond import (ArityNotDivisible, DiGraph, Gadget, GadgetFormatError, Rel
                       SlotMismatch, clique, cycle, evaluate, gadget_from_json, gadget_to_json,
                       graph_to_relation, pp_flatten, pp_power, relation_to_graph,
                       walk_gadget, witness)
+from loopcond import ppdef
+from loopcond.graph import _twin_classes
 
 
 def test_relation_validation_and_full() -> None:
@@ -17,6 +20,23 @@ def test_relation_validation_and_full() -> None:
     with pytest.raises(ValueError):
         Relation(2, 2, frozenset({(0,)}))
     assert len(Relation.full(3, 2).tuples) == 9
+
+
+@pytest.mark.parametrize("tuples, message", [
+    ({(0, 1), (2, 3)}, "tuple (2, 3) leaves the universe"),
+    ({(0, 1), (-1, 2)}, "tuple (-1, 2) leaves the universe"),
+    ({(0, 1), (2,)}, "tuple (2,) has wrong arity"),
+    ({(0, 1), (1, float("nan"))}, "tuple (1, nan) leaves the universe"),
+])
+def test_relation_names_the_bad_tuple(tuples, message) -> None:
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Relation(3, 2, frozenset(tuples))
+
+
+def test_relation_accepts_numbers_in_the_universe() -> None:
+    # the values are compared, not type-checked: True and 0.5 lie in [0, 3)
+    assert Relation(3, 2, frozenset({(True, 0.5), (2, 0)})).arity == 2
+    assert Relation(1, 0, frozenset({()})).tuples == {()}
 
 
 def test_identity_gadget_returns_input_edges() -> None:
@@ -115,6 +135,85 @@ def test_gadgets_with_cliques_of_variables_match_brute_force() -> None:
             values = tuple(rng.randrange(n) for _ in range(gadget.arity))
             if values not in least:
                 assert witness(gadget, inputs, values) is None
+
+
+def _blow_up(rng: random.Random, sizes: list[int], vertices: list[int]) -> DiGraph:
+    """A random digraph on len(sizes) vertices, with or without loops, whose
+    i-th vertex becomes sizes[i] twins, adjacent or not: the next sizes[i]
+    entries of `vertices`."""
+    blocks, rest = [], list(vertices)
+    for size in sizes:
+        blocks.append(rest[:size])
+        rest = rest[size:]
+    base = {(a, b) for a in range(len(sizes)) for b in range(len(sizes))
+            if rng.random() < 0.5}
+    joined = [rng.random() < 0.5 for _ in sizes]
+    edges = {(x, y) for a, b in product(range(len(sizes)), repeat=2)
+             for x in blocks[a] for y in blocks[b]
+             if ((a, b) in base if x == y or a != b else joined[a])}
+    return DiGraph(len(vertices), frozenset(edges))
+
+
+def _cut(rng: random.Random, n: int) -> list[int]:
+    """n cut into random parts of 1-3."""
+    sizes: list[int] = []
+    while n:
+        sizes.append(rng.randint(1, min(3, n)))
+        n -= sizes[-1]
+    return sizes
+
+
+def test_evaluate_on_blow_ups_matches_brute_force() -> None:
+    # twins of every input are searched one least-first tuple per orbit;
+    # the second input is blown up along another partition, so the common
+    # classes are finer than either input's, and the distinguished vertices
+    # repeat
+    rng = random.Random(2323)
+    merged = 0
+    for _ in range(150):
+        vertices = rng.randint(1, 4)
+        slots = rng.randint(1, 2)
+        gadget = Gadget(vertices, tuple((rng.randrange(slots), rng.randrange(vertices),
+                                         rng.randrange(vertices))
+                                        for _ in range(rng.randint(0, 6))),
+                        tuple(rng.randrange(vertices) for _ in range(rng.randint(1, 4))),
+                        slots)
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        n = sum(sizes)
+        inputs = [_blow_up(rng, sizes if slot == 0 else _cut(rng, n),
+                           rng.sample(range(n), n)) for slot in range(slots)]
+        merged += len(_twin_classes(inputs)) < n
+        assert evaluate(gadget, inputs) == evaluate_brute(gadget, inputs)
+    assert merged > 100
+
+
+def test_twin_classes() -> None:
+    k23 = DiGraph.from_edges(5, [e for a in (0, 1) for b in (2, 3, 4) for e in ((a, b), (b, a))])
+    assert _twin_classes([clique(4)]) == [[0, 1, 2, 3]]
+    assert _twin_classes([k23]) == [[0, 1], [2, 3, 4]]
+    assert _twin_classes([cycle(5)]) == [[v] for v in range(5)]
+    # 0 and 1 swap in K4 but not in the second input, where 2 and 3 do
+    fan = DiGraph.from_edges(4, [(0, 2), (0, 3)])
+    assert _twin_classes([clique(4), fan]) == [[0], [1], [2, 3]]
+    # looped twins that are not adjacent, and twins adjacent in one input
+    # and not in the other
+    looped = DiGraph.from_edges(3, [(0, 0), (1, 1), (0, 2), (1, 2)])
+    assert _twin_classes([looped]) == [[0, 1], [2]]
+    assert _twin_classes([clique(2), DiGraph(2, frozenset())]) == [[0, 1]]
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 2)],   # the out-masks differ off the pair
+    [(2, 0)],   # the in-masks differ off the pair
+    [(0, 0)],   # the loops differ
+    [(0, 1)],   # the pair is joined one way only
+], ids=["out-masks", "in-masks", "loops", "one way"])
+def test_evaluate_rejects_a_false_twin_class(monkeypatch, edges) -> None:
+    g = DiGraph.from_edges(3, edges)
+    monkeypatch.setattr(ppdef, "_twin_classes", lambda graphs: [[0, 1], [2]])
+    with pytest.raises(AssertionError,
+                       match="^swapping twins 0 and 1 is not an automorphism of the inputs$"):
+        evaluate(Gadget(2, ((0, 0, 1),), (0, 1), 1), [g])
 
 
 def test_evaluate_is_monotone_in_inputs() -> None:

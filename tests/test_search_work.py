@@ -13,21 +13,32 @@ from loopcond import clique, clique_F, clique_R, cycle, evaluate, find_hom
 from loopcond.constructions import clique_r_gadget, clique_s_gadget
 
 
-@pytest.mark.parametrize("n, budget", [(4, 5_000), (5, 20_000)])
+# n = 6 is the cap of `loopcond verify --clique-n`
+@pytest.mark.parametrize("n, budget", [(4, 350), (5, 450), (6, 550)])
 def test_s_gadget_over_clique_within_budget(n, budget) -> None:
     # the S gadget of verify_clique_claims(n) over K_n and F relates every
     # two distinct pairs; in each copy of R, n - 2 witnesses differ pairwise
     # and from x, y, v and w, so counting cuts off the assignments that
-    # leave them too few values
+    # leave them too few values.  Every two vertices of K_n are twins in
+    # both inputs, so the search assigns only least-first tuples: (0, 0, 0,
+    # 1), never (0, 0, 0, 2)
     k = clique(n)
     s = evaluate(clique_s_gadget(n), [k, clique_F(k, n)], budget=budget)
     assert s.tuples == {t for t in product(range(n), repeat=4) if t[:2] != t[2:]}
 
 
+def _r_gadget_over_next_clique(n: int, budget: int) -> None:
+    # R of verify_clique_claims(n) evaluated over K_{n+1}
+    bigger = clique(n + 1)
+    assert evaluate(clique_r_gadget(n), [bigger], budget=budget) == clique_R(bigger, n)
+
+
 def test_r_gadget_over_six_clique_within_budget() -> None:
-    # R of verify_clique_claims(5) evaluated over K6
-    k6 = clique(6)
-    assert evaluate(clique_r_gadget(5), [k6], budget=6_000) == clique_R(k6, 5)
+    _r_gadget_over_next_clique(5, 120)
+
+
+def test_r_gadget_over_seven_clique_within_budget() -> None:
+    _r_gadget_over_next_clique(6, 140)
 
 
 @pytest.mark.parametrize("k", [9, 11, 13, 15, 17])
