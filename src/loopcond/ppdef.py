@@ -30,14 +30,6 @@ class Relation(_Value):
             raise ValueError("universe must be nonempty")
         if self.arity < 0:
             raise ValueError("arity must be nonnegative")
-        # lengths and distinct values at C speed; only a relation that fails
-        # here, or holds values other than ints, is walked tuple by tuple,
-        # which names the first bad tuple
-        if set(map(len, self.tuples)) <= {self.arity}:
-            values = set(chain.from_iterable(self.tuples))
-            if set(map(type, values)) <= {int} and \
-                    (not values or 0 <= min(values) and max(values) < self.universe_size):
-                return
         for t in self.tuples:
             if len(t) != self.arity:
                 raise ValueError(f"tuple {t} has wrong arity")
@@ -156,7 +148,8 @@ def _orbit(t: tuple[int, ...], classes: list[tuple[int, ...]],
     """The tuples that permutations within the twin classes make of t, if t
     is its orbit's least-first tuple (the members of each class that it
     uses are the least ones, in order of first occurrence), else none: each
-    injective map of those members into their class gives one."""
+    injective map of those members into their class gives one, so a tuple
+    that uses no member of a class of two or more is its own orbit."""
     used: dict[int, list[int]] = {}
     for x in dict.fromkeys(t):
         if x in where:
@@ -199,13 +192,8 @@ def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
     for i, v in enumerate(order[:k]):
         allowed |= sum(1 << c[i] for c in classes if i < len(c))
         domains[v] &= allowed
-    found: set[tuple[int, ...]] = set()
-    for asg in _arc_search(domains, constraints, order, budget, project=k):
-        t = tuple([asg[v] for v in gadget.distinguished])
-        if where:
-            found.update(_orbit(t, classes, where))
-        else:
-            found.add(t)
+    found = {u for asg in _arc_search(domains, constraints, order, budget, project=k)
+             for u in _orbit(tuple([asg[v] for v in gadget.distinguished]), classes, where)}
     return Relation(inputs[0].n, gadget.arity, frozenset(found))
 
 
