@@ -15,10 +15,20 @@ from .ppdef import Gadget, Relation, evaluate, pp_power, relation_to_graph, witn
 
 
 class Check(_Value, witness=None):
+    """One named claim of a Report, whether it held, and what shows it.
+
+    The witness may be a list or a dict, so a check hashes by (name, passed)
+    alone: equal checks share both, so the hash agrees with ==, and reports
+    hash like every other value.
+    """
+
     __slots__ = ("name", "passed", "witness")
     name: str
     passed: bool
     witness: object
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.passed))
 
 
 class Report(_Value):
@@ -49,20 +59,34 @@ def report_to_json(r: Report) -> str:
 def walk_relation(g: DiGraph, k: int) -> DiGraph:
     """Edge (x, y) iff g has a directed walk of exactly k edges from x to y.
 
-    Computed as k-fold relational composition of the edge set.
+    After j steps, row v is the bitmask of the vertices that walks of j
+    edges from v reach: 1 << v at first, and each of the k steps sets it to
+    the OR of the previous rows of v's out-neighbours (from DiGraph._masks).
+    That is k*|E| ORs of n-bit integers, with two lists of n rows alive at
+    a time.  The edges are the rows' set bits, written straight into the
+    frozenset.
     """
     if k < 1:
         raise ValueError("walk length must be positive")
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        adj[a].append(b)
-    edges = set()
-    for start in range(g.n):
-        frontier = {start}
-        for _ in range(k):
-            frontier = {b for v in frontier for b in adj[v]}
-        edges.update((start, b) for b in frontier)
-    return DiGraph(g.n, frozenset(edges), g.labels)
+    succ = [list(_bits(m)) for m in g._masks[0]]
+    rows = [1 << v for v in range(g.n)]
+    for _ in range(k):
+        prev, rows = rows, []
+        for out in succ:
+            row = 0
+            for w in out:
+                row |= prev[w]
+            rows.append(row)
+    return DiGraph(g.n, frozenset((v, w) for v, row in enumerate(rows) for w in _bits(row)),
+                   g.labels)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def walk_gadget(k: int) -> Gadget:

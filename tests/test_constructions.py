@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from helpers import walk_pairs_brute
-from loopcond import (DiGraph, NotSymmetric, Report, SizeCap, clique, clique_F,
+from loopcond import (Check, DiGraph, NotSymmetric, Report, SizeCap, clique, clique_F,
                       clique_Q, clique_R, cycle, evaluate, gadget_to_json,
                       has_loop, is_symmetric, report_to_json,
                       verify_clique_claims, verify_cycle_reduction, walk_gadget,
@@ -22,17 +22,22 @@ def test_walk_relation_length_one_is_the_graph() -> None:
 
 def test_walk_relation_matches_brute_force_and_gadget() -> None:
     rng = random.Random(31)
-    graphs = [cycle(6), clique(3), DiGraph(4, frozenset({(0, 1), (1, 2), (2, 0)}))]
+    sink = DiGraph(4, frozenset({(0, 1), (1, 2), (2, 0), (1, 3)}))  # 3 has no out-edge
+    named = DiGraph(3, frozenset({(0, 1), (1, 1), (1, 2), (2, 0)}), ("a", "b", "c"))
+    graphs = [cycle(6), clique(3), DiGraph(4, frozenset({(0, 1), (1, 2), (2, 0)})),
+              DiGraph(0, frozenset()), DiGraph(1, frozenset()),
+              DiGraph(1, frozenset({(0, 0)})), sink, named]
     for _ in range(10):
         n = rng.randint(1, 5)
         edges = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.4}
         graphs.append(DiGraph(n, frozenset(edges)))
     for g in graphs:
-        for k in (1, 2, 3, 4):
+        for k in range(1, 9):
             got = walk_relation(g, k)
+            assert (got.n, got.labels) == (g.n, g.labels)
             assert got.edges == walk_pairs_brute(g, k)
-            via_gadget = evaluate(walk_gadget(k), [g])
-            assert got.edges == via_gadget.tuples
+            if g.n:  # a Relation needs a nonempty universe
+                assert got.edges == evaluate(walk_gadget(k), [g]).tuples
 
 
 def test_walk_relation_composes_additively() -> None:
@@ -127,10 +132,45 @@ def test_verify_cycle_reduction_passes() -> None:
                          "walk_power_loopless"]
 
 
+#: SHA-256 of report_to_json(verify_cycle_reduction(k)) for every odd k the
+#: size cap admits, computed with a per-vertex frontier-set walk relation,
+#: independent of the bitmask rows
+CYCLE_REPORT_DIGESTS = {
+    3: "cbc268a82995a05088d2d5c70584690d50244e756329a042977e73faf1aff536",
+    5: "803be1ec6557d73d762a73a0521069dc54039603d87a35e3c0dcca6163e83320",
+    7: "52fc2e0da16ed4781cdcf1f5bf8abfa64e9def8570261efdf29b81cf1fdb51a6",
+    9: "28c49735309611127eecbcdd0bce9fc072641b1521332a4d692325ebf380b905",
+    11: "a8a4c4db0b6e79dde58088b208c8b3a7c50aa3b54c2120340205314ebe5969f0",
+    13: "3b6ade0fc0c3df708f58a0d3344b33ff5ba7e538cf4f4871a14ec494b5fa198e",
+    15: "a29d4eb07bdda2f6883bbe114d5a49221f9fec3423684d6391ee5cc0701310a4",
+    17: "684930b425d4f46497d36895707a3a124b888e87fc9ea19e9702d3efa3bc5520",
+    19: "2472e9accc493db2c735ea749943e7549200c81331239105de4618ec09c1aad4",
+    21: "5def018ee05f7d3dca3c4a0a8cbfc32504b9fa98bc8c16f49318a0179919c9cd",
+    23: "2c409ca8f9cb09bf26a9a6326cbd92e93b9611e8c6935f0bcafa666fee12f0d4",
+    25: "75e12e3de942929b9955e0234fab108e90912f437f35e415ab1b37b5dd145dec",
+    27: "6dbe70ac0846ae17e0cdccaf0eb31a99b118cf7810048b63811b5e53e26081be",
+    29: "43326a923f18f1190a59e4f44f24a66f1d2d1936feda2c3d409fc13aaa7d9fc6",
+    31: "ea6fe4dba2d1ec601ee1de9e8df8e27f9b8a944fd678188d8bd107e22f8a5e5e",
+    33: "80a71ea497e09f3a712d56fba941ee99fe2320623be7bda38bf1b2fc6974fbda",
+    35: "fdbfa6a1c7bbd25b5ec509fe35891d546cf9fa19e6e2d64fe5bc5dc5486d271b",
+    37: "4e8b195602930a42496956afc5a6a6b4c34dc38dd3aa1a337ddda331d4bf5d1b",
+    39: "4db31fd11fd0c5921da58b8e25b96c08dc8cb6ca3345c942977f39d88af6b34b",
+    41: "6e7ccb8d086caa2fa8d01c895b2310d79883c0effe1f15af52ea8eb95f9ae9d0",
+    43: "b547bf5641818675790875429cd35442ce541e5097ea5ec0f614b0c112d75935",
+    45: "eed10d5ee3704c8b64d3cef125b45d37407c159568e0e273f440621a51401ca6",
+    47: "dd3a2241677985558c098c00018eb0fc0cf4de25e3a806748912406537e421e4",
+    49: "bf8dafb0945609c67027cda3a8cf64f0bc851c41152391fdcff38ea9f8768206",
+}
+
+
 def test_verify_cycle_reduction_up_to_the_size_cap() -> None:
-    # C_{k^2} -> C_{k+2} searches 2401 vertices deep at k = 49
-    for k in (21, 33, 49):
-        assert verify_cycle_reduction(k).all_pass
+    # C_{k^2} -> C_{k+2} searches 2401 vertices deep at k = 49, and the walk
+    # relation of C_2401 has 2401 * 50 edges
+    assert sorted(CYCLE_REPORT_DIGESTS) == list(range(3, 50, 2))
+    for k, digest in CYCLE_REPORT_DIGESTS.items():
+        report = verify_cycle_reduction(k)
+        assert report.all_pass
+        assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
 
 
 def test_verify_cycle_reduction_preconditions() -> None:
@@ -185,6 +225,17 @@ def test_verify_clique_claims_preconditions() -> None:
         verify_clique_claims(2)
     with pytest.raises(SizeCap):
         verify_clique_claims(7)
+
+
+def test_reports_hash_by_their_checks() -> None:
+    # witnesses are lists and dicts, yet equal reports hash equal
+    first, again = verify_cycle_reduction(3), verify_cycle_reduction(3)
+    clique_report = verify_clique_claims(3)
+    assert first == again and hash(first) == hash(again)
+    assert hash(clique_report) == hash(verify_clique_claims(3))
+    assert len({first, again, clique_report, verify_cycle_reduction(5)}) == 3
+    assert hash(Check("c", False, [1])) == hash(Check("c", False, {"a": [2]}))
+    assert Check("c", False, [1]) != Check("c", False, {"a": [2]})
 
 
 def test_report_json_shape() -> None:

@@ -142,25 +142,30 @@ def test_search_core_takes_constraints_as_arcs_not_flags() -> None:
 
 def test_graph_bitmask_adjacency_is_built_once() -> None:
     # one adjacency per graph: DiGraph._masks ORs each edge's bit into the
-    # neighbour masks of its ends, and graph.py's other bitmask readers
-    # (odd_girth, is_smooth, _network, core) take the masks from there
-    def ors_edge_bits(loop: ast.AST) -> bool:
+    # neighbour masks of its ends, and every other reader of a graph's
+    # neighbours, in any module (odd_girth, is_smooth, _network, core,
+    # walk_relation), takes the masks from there rather than filling
+    # per-vertex masks or lists while it loops over .edges
+    def fills_per_vertex(node: ast.AST) -> bool:
+        if isinstance(node, ast.AugAssign):
+            return isinstance(node.target, ast.Subscript)
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ("append", "add", "extend", "update") \
+            and isinstance(node.func.value, ast.Subscript)
+
+    def builds_adjacency(loop: ast.AST) -> bool:
         return isinstance(loop, ast.For) and isinstance(loop.iter, ast.Attribute) \
             and loop.iter.attr == "edges" \
-            and any(isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
-                    and isinstance(node.target, ast.Subscript)
-                    and isinstance(node.value, ast.BinOp)
-                    and isinstance(node.value.op, ast.LShift)
-                    for node in ast.walk(loop))
+            and any(fills_per_vertex(node) for node in ast.walk(loop))
 
-    (tree,) = [tree for name, tree in _trees() if name == "graph.py"]
-    scopes = [(None, fn) for fn in tree.body] + \
-        [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
-         for fn in cls.body]
-    found = [f"{owner}.{fn.name}" if owner else fn.name for owner, fn in scopes
+    found = [f"{name}:{owner}.{fn.name}" if owner else f"{name}:{fn.name}"
+             for name, tree in _trees()
+             for owner, fn in [(None, fn) for fn in tree.body] +
+             [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for fn in cls.body]
              if isinstance(fn, ast.FunctionDef)
-             and any(ors_edge_bits(loop) for loop in ast.walk(fn))]
-    assert found == ["DiGraph._masks"]
+             and any(builds_adjacency(loop) for loop in ast.walk(fn))]
+    assert found == ["graph.py:DiGraph._masks"]
 
 
 def test_affine_path_enumerates_no_candidates() -> None:
