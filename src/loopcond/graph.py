@@ -310,17 +310,19 @@ def _arc_search(domains: list[int], constraints: tuple, order: list[int], budget
     variables in `order` that extends to one: after a solution it
     backtracks to variable project - 1.  The search is iterative (an
     explicit stack and an undo trail), so its depth is not bounded by the
-    Python recursion limit.
+    Python recursion limit.  The trail is flat, a variable and its old
+    domain per change, so a search that never backtracks keeps two list
+    slots per change and no tuple.
     """
     arcs, groups = constraints
     n = len(order)
     dom = list(domains)
-    trail: list[tuple[int, int]] = []
+    trail: list[int] = []
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            v, d = trail.pop()
-            dom[v] = d
+            d = trail.pop()
+            dom[trail.pop()] = d
 
     def propagate(queue: list[int]) -> bool:
         while queue:
@@ -340,7 +342,8 @@ def _arc_search(domains: list[int], constraints: tuple, order: list[int], budget
                     if du & s != du:
                         if not du & s:
                             return False
-                        trail.append((u, du))
+                        trail.append(u)
+                        trail.append(du)
                         dom[u] = du & s
                         queue.append(u)
         for group in groups:
@@ -376,7 +379,8 @@ def _arc_search(domains: list[int], constraints: tuple, order: list[int], budget
         v = order[depth]
         marks[depth] = len(trail)
         if dom[v] != low:
-            trail.append((v, dom[v]))
+            trail.append(v)
+            trail.append(dom[v])
             dom[v] = low
             if not propagate([v]):
                 undo(marks[depth])

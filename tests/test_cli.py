@@ -324,6 +324,20 @@ def test_failed_soundness_check_exits_3_under_optimize(z2_file, module, name,
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_largest_cycle_reduction_under_optimize() -> None:
+    # under -O the 2401-vertex homomorphism is still re-checked by is_valid
+    # (a failed check exits 3), and the report reads the same walk rows, so
+    # stdout is byte for byte that of a run without -O
+    env = dict(os.environ, PYTHONPATH=str(Path(loopcond.__file__).parents[1]))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "loopcond.cli", "verify",
+                            "--cycle-k", "49", "--json"],
+                           capture_output=True, text=True, env=env, timeout=60)
+            for flags in ([], ["-O"])]
+    assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, "")] * 2
+    assert runs[1].stdout == runs[0].stdout
+    assert json.loads(runs[1].stdout)["all_pass"] is True
+
+
 def test_an_operation_may_be_named_pos(tmp_path, capsys) -> None:
     # a seed's provenance tag is "pos" too: seeds are told by their int payload
     table = [(x + y - z) % 3 for x in range(3) for y in range(3) for z in range(3)]

@@ -173,6 +173,56 @@ def test_verify_cycle_reduction_up_to_the_size_cap() -> None:
         assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
 
 
+def test_verify_cycle_reduction_builds_no_walk_graph(monkeypatch) -> None:
+    # the report reads the walk's bitmask rows, never the walk relation
+    def no_walk_relation(g, k):
+        raise AssertionError("verify_cycle_reduction built a walk graph")
+
+    monkeypatch.setattr(constructions, "walk_relation", no_walk_relation)
+    for k in (3, 9, 17):
+        text = report_to_json(verify_cycle_reduction(k))
+        assert hashlib.sha256(text.encode()).hexdigest() == CYCLE_REPORT_DIGESTS[k]
+
+
+def _walk_checks_on_edges(edges, k: int) -> list[Check]:
+    """The two walk checks of verify_cycle_reduction computed from an edge
+    set: the reference that the checks on bitmask rows must agree with."""
+    selected = [i * k for i in range(k)]
+    missing = []
+    for i in range(k):
+        a, b = selected[i], selected[(i + 1) % k]
+        for e in ((a, b), (b, a)):
+            if e not in edges:
+                missing.append(list(e))
+    loops = sorted(v for v, w in edges if v == w)
+    return [Check("walk_power_contains_base_cycle", not missing,
+                  selected if not missing else missing),
+            Check("walk_power_loopless", not loops, None if not loops else loops)]
+
+
+def test_walk_checks_on_rows_match_the_edge_set_checks() -> None:
+    # walks of C_{k^2} shorter than k miss the cycle's edges, walks of even
+    # length have loops, and random rows fail both checks
+    rng = random.Random(5)
+    failed = set()
+    for k in (3, 5, 7):
+        cases = [constructions._walk_rows(cycle(k * k), j) for j in range(1, k + 2)]
+        cases += [[rng.getrandbits(k * k) for _ in range(k * k)] for _ in range(3)]
+        for rows in cases:
+            edges = {(v, w) for v, row in enumerate(rows) for w in range(k * k)
+                     if row >> w & 1}
+            checks = constructions._walk_checks(rows, k)
+            assert checks == _walk_checks_on_edges(edges, k)
+            failed.update(c.name for c in checks if not c.passed)
+    assert failed == {"walk_power_contains_base_cycle", "walk_power_loopless"}
+    short, even = (constructions._walk_checks(
+        constructions._walk_rows(cycle(25), j), 5) for j in (3, 4))
+    assert [c.passed for c in short] == [False, True]
+    assert short[0].witness[0] == [0, 5]
+    assert [c.passed for c in even] == [False, False]
+    assert even[1].witness == list(range(25))
+
+
 def test_verify_cycle_reduction_preconditions() -> None:
     with pytest.raises(ValueError):
         verify_cycle_reduction(2)

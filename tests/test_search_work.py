@@ -5,6 +5,7 @@ needs today, so a pruning regression fails here as BudgetExceeded even on a
 host too noisy for wall-clock timings to show it.
 """
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -45,3 +46,18 @@ def test_r_gadget_over_seven_clique_within_budget() -> None:
 def test_cycle_reduction_hom_within_one_expansion_per_vertex(k) -> None:
     # the cycle reductions the benchmark runs, k = 9..17
     assert find_hom(cycle(k * k), cycle(k + 2), budget=k * k) is not None
+
+
+def test_largest_cycle_reduction_hom_keeps_a_flat_undo_trail() -> None:
+    # verify --cycle-k 49 searches C_2401 -> C_51 with no backtrack, so the
+    # undo trail keeps every domain change.  Peak traced by tracemalloc on
+    # CPython 3.11.7: 12,572 KB with a flat trail (a variable, then its old
+    # domain), 16,692 KB with one tuple per change
+    g, h = cycle(2401), cycle(51)
+    tracemalloc.start()
+    try:
+        assert find_hom(g, h) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14_500 * 1024
