@@ -11,15 +11,14 @@ and either returned or refuted by rows that then join R.  On R empty every
 table is empty and every pair equal, so the first candidate, the first
 seed's projection x1, needs no closure.
 
-A condition graph G is decided on its core C first, when C is smaller: G
+A condition graph G is decided on its core C instead, when C is smaller: G
 and C map to each other, so their conditions are equivalent, and the
 closure on C runs on fewer variables.  A refutation on C is returned with
-its certificate checked, the retraction G -> C being a homomorphism.  Any
-other outcome runs G's own closure, so every answer G's closure gives is
-kept as it is; only where G's closure hits its element cap is a witness for
-C carried over to G, by renaming its leaves along the inclusion C -> G, and
-checked on all rows.  The ExponentCap on table entries still counts G's
-variables.
+its certificate checked, the retraction G -> C being a homomorphism; a
+witness for C is carried over to G, by renaming its leaves along the
+inclusion C -> G, and checked on all rows.  Only where C's closure hits its
+element cap does G's own closure decide.  The ExponentCap on table entries
+still counts G's variables.
 
 The closure engine `_close` hands each operation whole blocks of argument
 combinations, runs that differ only in their last argument ranging over
@@ -773,17 +772,16 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
 
     The condition graph G is first reduced to its core C (graph.core), and
     when C is smaller the condition of C (C's edges in sorted order, G's
-    variable names) is decided first.  G and C map to each other, so
+    variable names) is decided instead.  G and C map to each other, so
     their conditions are equivalent:
 
     - NotSatisfied on C is returned once the retraction G -> C is checked
       to be a homomorphism, which carries any witness for G to one for C;
-    - otherwise G's own decision is returned, so every answer it gives is
-      unchanged;
-    - where that decision is ResourceExceeded and C's is Satisfied, C's
-      witness is carried to G along the inclusion C -> G: leaf x(j+1) goes
-      to the first position of G whose edge is C's edge j.  The result is
-      checked on all rows of G.
+    - Satisfied on C: C's witness is carried to G along the inclusion
+      C -> G, leaf x(j+1) going to the first position of G whose edge is
+      C's edge j, and returned once it is checked on all rows of G;
+    - ResourceExceeded on C: G's own closure decides, as it does when G is
+      its own core or the core search runs over its budget.
 
     A soundness check that fails raises AssertionError.
 
@@ -804,27 +802,23 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
         retraction = core(g)
     except BudgetExceeded:  # the core only saves work: decide G as it is
         retraction = None
-    if retraction is None or retraction.target.n == g.n:
-        return _refine(a, c, max_elements)
-    small = condition_from_graph(retraction.target, c.symbol)
-    on_core = _refine(a, small, max_elements)
-    if isinstance(on_core, NotSatisfied):
-        if retraction.source != g or not retraction.is_valid():
-            raise AssertionError("core refutation has no valid retraction to carry it")
-        return on_core
-    decision = _refine(a, c, max_elements)
-    if not isinstance(on_core, Satisfied) or isinstance(decision, Satisfied):
-        return decision
-    if isinstance(decision, NotSatisfied):
-        raise AssertionError("condition refuted although its core is satisfied")
-    first = _first_positions(c)
-    positions = [first.get(edge) for edge in zip(small.lhs, small.rhs)]
-    if None in positions:
-        raise AssertionError("core edge is not an edge of the condition graph")
-    term = _reindex(on_core.term, positions)
-    if _differing_rows(a, c, term, _variable_columns(a, c)):
-        raise AssertionError("witness carried from the core fails on the condition")
-    return Satisfied(term)
+    if retraction is not None and retraction.target.n < g.n:
+        small = condition_from_graph(retraction.target, c.symbol)
+        on_core = _refine(a, small, max_elements)
+        if isinstance(on_core, NotSatisfied):
+            if retraction.source != g or not retraction.is_valid():
+                raise AssertionError("core refutation has no valid retraction to carry it")
+            return on_core
+        if isinstance(on_core, Satisfied):
+            first = _first_positions(c)
+            positions = [first.get(edge) for edge in zip(small.lhs, small.rhs)]
+            if None in positions:
+                raise AssertionError("core edge is not an edge of the condition graph")
+            term = _reindex(on_core.term, positions)
+            if not verify_witness(a, c, term):
+                raise AssertionError("witness carried from the core fails on the condition")
+            return Satisfied(term)
+    return _refine(a, c, max_elements)
 
 
 # ---------------------------------------------------------------------------

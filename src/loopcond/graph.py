@@ -530,8 +530,9 @@ def core(g: DiGraph) -> Homomorphism:
 
 def _undirected(n: int, pairs) -> DiGraph:
     """The symmetric graph on n vertices with both arcs of every pair.  The
-    arcs pass through a set, which fixes the frozenset's iteration order and
-    so the order in which a search propagates the arcs."""
+    arcs pass through a set: a frozenset built from a set is sized from its
+    count at once, while one filled from a generator grows as it fills and
+    may end with a table twice as large."""
     return DiGraph(n, frozenset({e for a, b in pairs for e in ((a, b), (b, a))}))
 
 

@@ -6,10 +6,11 @@ import random
 import time
 
 from helpers import decide_by_subpower, random_algebra, witness_holds_brute
-from loopcond import (BudgetExceeded, DiGraph, Homomorphism, LoopCondition, NotSatisfied, ResourceExceeded,
-                      Satisfied, algebra_to_json, clique, condition_from_graph,
-                      condition_graph, core, cycle, decision_to_json_dict,
-                      mod_affine_algebra, path, satisfies_condition)
+from loopcond import (BudgetExceeded, DiGraph, FiniteAlgebra, Homomorphism, LoopCondition,
+                      NotSatisfied, Operation, ResourceExceeded, Satisfied, algebra_to_json,
+                      clique, condition_from_graph, condition_graph, core, cycle,
+                      decision_to_json_dict, mod_affine_algebra, path, satisfies_condition,
+                      term_to_string)
 from loopcond import algebra as alg
 from loopcond.cli import main
 
@@ -106,12 +107,58 @@ def test_core_witness_is_carried_where_the_graph_hits_the_cap() -> None:
     assert witness_holds_brute(z3, c6, decision.term)
 
 
-def test_a_witness_the_graph_finds_is_its_own() -> None:
-    # where G's own closure answers, its witness is returned, not the core's
-    z3, p3 = mod_affine_algebra(3), condition_from_graph(path(3))
-    assert core(condition_graph(p3)).target.n == 2
-    assert decision_to_json_dict(satisfies_condition(z3, p3)) == \
-        decision_to_json_dict(alg._refine(z3, p3, alg.DEFAULT_MAX_ELEMENTS))
+def _with_pendant_edge(g: DiGraph) -> DiGraph:
+    """g with one more vertex, joined to g's last vertex by a symmetric edge."""
+    return DiGraph(g.n + 1, g.edges | {(g.n - 1, g.n), (g.n, g.n - 1)})
+
+
+def _binary_algebra(table: list[int]) -> FiniteAlgebra:
+    return FiniteAlgebra(3, (Operation("f", 2, tuple(table)),))
+
+
+#: two 3-element binary tables over which K3 and C5 are satisfied
+PENDANT_TABLES = ([0, 2, 0, 1, 0, 1, 1, 1, 2], [0, 2, 2, 0, 1, 2, 1, 2, 2])
+
+
+def _counted_refine(monkeypatch) -> list[LoopCondition]:
+    """Count the closure decisions: each condition alg._refine is called on."""
+    calls, refine = [], alg._refine
+
+    def counted(a, c, max_elements):
+        calls.append(c)
+        return refine(a, c, max_elements)
+    monkeypatch.setattr(alg, "_refine", counted)
+    return calls
+
+
+def test_a_satisfied_core_decides_with_one_closure(monkeypatch) -> None:
+    # the core's witness is carried to G, whose own closure does not run;
+    # the pendant witnesses are those G's own closure finds
+    cases = [(mod_affine_algebra(3), path(3), "m(x2,x2,x1)")]
+    for table, witness in zip(PENDANT_TABLES, ("f(f(x3,f(x1,x1)),f(x3,x1))",
+                                               "f(x3,f(f(x3,x1),x3))")):
+        cases += [(_binary_algebra(table), _with_pendant_edge(clique(3)), witness),
+                  (_binary_algebra(table), _with_pendant_edge(cycle(5)), witness)]
+    calls = _counted_refine(monkeypatch)
+    for a, g, witness in cases:
+        c = condition_from_graph(g)
+        calls.clear()
+        decision = satisfies_condition(a, c)
+        assert calls == [condition_from_graph(core(condition_graph(c)).target)]
+        assert isinstance(decision, Satisfied) and witness_holds_brute(a, c, decision.term)
+        assert term_to_string(decision.term) == witness
+
+
+def test_a_core_over_the_cap_lets_the_graph_decide(monkeypatch) -> None:
+    refine = alg._refine
+    calls = _counted_refine(monkeypatch)
+    c = condition_from_graph(_with_pendant_edge(clique(3)))
+    for table in PENDANT_TABLES:
+        a = _binary_algebra(table)
+        calls.clear()
+        decision = satisfies_condition(a, c, max_elements=20)
+        assert calls == [condition_from_graph(core(condition_graph(c)).target), c]
+        assert decision == refine(a, c, 20) == ResourceExceeded(21)
 
 
 def test_a_core_over_budget_decides_the_graph_as_it_is(monkeypatch) -> None:

@@ -7,9 +7,10 @@ import random
 from helpers import decide_by_subpower, random_algebra, witness_holds_brute
 from loopcond import (COMMUTATIVITY_IDENTITY, SIGGERS_IDENTITY, FiniteAlgebra,
                       LoopCondition, ResourceExceeded, Satisfied, clique,
-                      condition_from_graph, cycle, decision_to_json_dict,
-                      mod_affine_algebra, parse_condition, path, projection_algebra,
-                      satisfies_condition)
+                      condition_from_graph, condition_graph, core, cycle,
+                      decision_to_json_dict, mod_affine_algebra, parse_condition, path,
+                      projection_algebra, satisfies_condition)
+from loopcond import algebra as alg
 
 
 def _loopless_condition(rng: random.Random, variables: int) -> LoopCondition:
@@ -152,12 +153,30 @@ FROZEN = [
 ]
 
 
+def _text(d) -> str:
+    return json.dumps(decision_to_json_dict(d))
+
+
 def test_decisions_match_full_row_closure() -> None:
-    got = [json.dumps(decision_to_json_dict(satisfies_condition(a, c, max_elements=cap)))
-           for a, c, cap in _corpus()]
-    assert len(got) == len(FROZEN)
-    assert [g for g, f in zip(got, FROZEN) if f is not None] == \
+    # the condition's own closure on refined rows answers as the full one did
+    corpus = _corpus()
+    own = [alg._refine(a, c, cap) for a, c, cap in corpus]
+    assert len(own) == len(FROZEN)
+    assert [_text(d) for d, f in zip(own, FROZEN) if f is not None] == \
         [f for f in FROZEN if f is not None]
+    # the decision answers alike, but where the graph's smaller core is
+    # satisfied it returns the core's witness, carried to the graph
+    carried = 0
+    for (a, c, cap), expected in zip(corpus, own):
+        decision = satisfies_condition(a, c, max_elements=cap)
+        assert type(decision) is type(expected)
+        g = condition_graph(c)
+        if isinstance(decision, Satisfied) and core(g).target.n < g.n:
+            assert witness_holds_brute(a, c, decision.term)
+            carried += _text(decision) != _text(expected)
+        else:
+            assert _text(decision) == _text(expected)
+    assert carried == 2
 
 
 def test_capped_query_is_answered_on_a_row_subset() -> None:
