@@ -148,9 +148,7 @@ def _cmd_graph_info(args) -> Result:
     symmetric = gr.is_symmetric(g)
     connected = gr.is_weakly_connected(g)
     girth = gr.odd_girth(g) if symmetric else None
-    info = {
-        "condition": ident.print_condition(c),
-        **gr.graph_to_json_dict(g),
+    predicates = {
         "has_loop": gr.has_loop(g),
         "symmetric": symmetric,
         "bipartite": girth is None if symmetric else None,
@@ -159,9 +157,8 @@ def _cmd_graph_info(args) -> Result:
         "weakly_connected": connected,
         "algebraic_length": gr.algebraic_length(g) if connected else None,
     }
-    return 0, info, _text(*(f"{key}: {info[key]}" for key in (
-        "has_loop", "symmetric", "bipartite", "odd_girth", "smooth",
-        "weakly_connected", "algebraic_length")))
+    info = {"condition": ident.print_condition(c), **gr.graph_to_json_dict(g), **predicates}
+    return 0, info, _text(*(f"{key}: {value}" for key, value in predicates.items()))
 
 
 def _cmd_audit(args) -> Result:

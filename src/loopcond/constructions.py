@@ -10,7 +10,7 @@ import json
 from itertools import combinations, permutations, product
 
 from .errors import NotSymmetric, SizeCap, _Value
-from .graph import DiGraph, clique, cycle, find_hom, is_symmetric
+from .graph import DiGraph, _bits, clique, cycle, find_hom, is_symmetric
 from .ppdef import Gadget, Relation, evaluate, pp_power, relation_to_graph, witness
 
 
@@ -86,14 +86,6 @@ def _walk_rows(g: DiGraph, k: int) -> list[int]:
                 row |= prev[w]
             rows.append(row)
     return rows
-
-
-def _bits(mask: int):
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def walk_gadget(k: int) -> Gadget:

@@ -6,8 +6,9 @@ Graphs are immutable; every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
+from operator import and_
 
 from .errors import (BudgetExceeded, GraphFormatError, NotSymmetric, NotWeaklyConnected,
                      _Value)
@@ -194,69 +195,76 @@ def algebraic_length(g: DiGraph) -> int:
     return d
 
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], tuple]:
     """Domains and constraints (arcs, groups) for the maps 0..n-1 -> V that
     send every typed edge (t, a, b) to an edge of targets[t]; the targets
     share the vertex set V.
 
-    Domains are bitmasks over V.  A loop (t, a, a) restricts a's domain to
-    the loops of targets[t].  Every other edge gives an arc each way, and
-    arcs[v] holds (table, cache, neighbours): when v takes value x, each
-    neighbour may only take values in table[x].  Edges on the same ordered
-    pair share one table, and v's pairs with equal tables share one arc, so
-    the union cache serves a whole slot for the length of one search.
+    Domains are bitmasks over V.  Slot t has two mask rows, its target's
+    out-rows rows[2t] and in-rows rows[2t + 1], and both have the target's
+    loops as loop mask.  A loop (t, a, a) restricts a's domain to those
+    loops.  Every other edge adds slot t's out-rows to the signature of the
+    ordered pair (a, b) and its in-rows to that of (b, a), a signature
+    being a bitmask of row indices.  Each distinct signature's table is
+    built once, as the AND of its rows: when v takes value x, a neighbour
+    on a pair with that signature may only take values in table[x].
+    arcs[v] holds (table, cache, neighbours), one arc per table value over
+    v's pairs in order, and equal tables share one union cache, so a cache
+    serves a whole slot for the length of one search.
 
     Two variables take different values when their tables keep no value
-    (no x with x in table[x]).  That holds exactly when no vertex is a loop
-    of every target with an edge on the pair, which pair_loops tracks.
-    Each such pair a < b grows one group of pairwise different variables:
-    from {a, b}, every further variable in index order joins when it
-    differs from all members so far.  The distinct groups of at least three
-    variables are kept as tuples, in order of discovery.  One group per
-    pair keeps the derivation polynomial, where the maximal cliques of
-    variables can be exponentially many (K_{2x20} has 2^20 of them).
+    (no x with x in table[x]).  That holds exactly when the AND of the loop
+    masks of the rows in their signature is 0.  Each such pair a < b grows
+    one group of pairwise different variables: from {a, b}, every further
+    variable in index order joins when it differs from all members so far.
+    The distinct groups of at least three variables are kept as tuples, in
+    order of discovery.  One group per pair keeps the derivation
+    polynomial, where the maximal cliques of variables can be exponentially
+    many (K_{2x20} has 2^20 of them).
     """
-    size = targets[0].n
-    succ, pred = zip(*(h._masks for h in targets))
-    loops = [sum(1 << x for x in range(size) if rows[x] >> x & 1) for rows in succ]
-    domains = [(1 << size) - 1] * n
-    pair_tables: dict[Edge, list[int]] = {}
-    pair_loops: dict[Edge, int] = {}
+    rows = [r for h in targets for r in h._masks]
+    loops = [sum(1 << x for x, nbrs in enumerate(r) if nbrs >> x & 1) for r in rows]
+    domains = [(1 << targets[0].n) - 1] * n
+    signature: dict[Edge, int] = {}
     for t, a, b in edges:
         if a == b:
-            domains[a] &= loops[t]
+            domains[a] &= loops[2 * t]
             continue
-        pair = (a, b) if a < b else (b, a)
-        pair_loops[pair] = pair_loops.get(pair, loops[t]) & loops[t]
-        for key, rows in (((a, b), succ[t]), ((b, a), pred[t])):
-            table = pair_tables.get(key)
-            pair_tables[key] = list(rows) if table is None else \
-                [x & y for x, y in zip(table, rows)]
+        signature[a, b] = signature.get((a, b), 0) | 1 << 2 * t
+        signature[b, a] = signature.get((b, a), 0) | 2 << 2 * t
+    # signature -> (index of its table among the distinct table values, loops kept)
+    known: dict[int, tuple[int, int]] = {}
+    tables: dict[tuple[int, ...], int] = {}
     differ = [0] * n
-    for (a, b), kept in pair_loops.items():
-        if not kept:
-            differ[a] |= 1 << b
-            differ[b] |= 1 << a
+    by_row: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for (a, b), sig in sorted(signature.items()):
+        if sig not in known:
+            table = reduce(lambda t, r: tuple(map(and_, t, r)), [rows[i] for i in _bits(sig)])
+            known[sig] = (tables.setdefault(table, len(tables)),
+                          reduce(and_, [loops[i] for i in _bits(sig)]))
+        k, kept = known[sig]
+        differ[a] |= (not kept) << b
+        by_row[a].setdefault(k, []).append(b)
     found: dict[int, None] = {}
     for a in range(n):
-        later = differ[a] >> a + 1 << a + 1
-        while later:
-            b = later & -later
-            later ^= b
-            members, common = 1 << a | b, differ[a] & differ[b.bit_length() - 1]
-            while common:
-                c = common & -common
-                members |= c
-                common &= differ[c.bit_length() - 1]
+        for b in _bits(differ[a] >> a + 1 << a + 1):
+            members = 1 << a | 1 << b
+            for c in _bits(differ[a] & differ[b]):
+                if not members & ~differ[c]:
+                    members |= 1 << c
             if members.bit_count() >= 3:
                 found[members] = None
     groups = [tuple(v for v in range(n) if members >> v & 1) for members in found]
-    by_row: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(n)]
-    for (a, b), table in sorted(pair_tables.items()):
-        by_row[a].setdefault(tuple(table), []).append(b)
-    caches: dict[tuple[int, ...], dict[int, int]] = {}
-    arcs = [[(table, caches.setdefault(table, {}), nbrs) for table, nbrs in g.items()]
-            for g in by_row]
+    values, caches = list(tables), [{} for _ in tables]
+    arcs = [[(values[k], caches[k], nbrs) for k, nbrs in g.items()] for g in by_row]
     return domains, (arcs, groups)
 
 

@@ -157,6 +157,50 @@ def weakly_reachable_brute(g: DiGraph, s: int) -> set[int]:
     return reached
 
 
+def network_by_pairs(n: int, edges, targets: list[DiGraph]) -> tuple:
+    """The constraint network of graph._network derived pair by pair, as it
+    was before tables were shared by edge signature: one table list per
+    ordered pair of variables, ANDed again for every further edge on it, a
+    loop mask per unordered pair, and the arcs grouped by the tuple of each
+    table.  Returns (domains, arcs, groups), each arc a (table tuple,
+    neighbours) pair, so tables compare by value."""
+    size = targets[0].n
+    succ = [[sum(1 << y for y in range(size) if (x, y) in h.edges) for x in range(size)]
+            for h in targets]
+    pred = [[sum(1 << y for y in range(size) if (y, x) in h.edges) for x in range(size)]
+            for h in targets]
+    loops = [sum(1 << x for x in range(size) if (x, x) in h.edges) for h in targets]
+    domains = [(1 << size) - 1] * n
+    pair_tables: dict = {}
+    pair_loops: dict = {}
+    for t, a, b in edges:
+        if a == b:
+            domains[a] &= loops[t]
+            continue
+        pair = (min(a, b), max(a, b))
+        pair_loops[pair] = pair_loops.get(pair, loops[t]) & loops[t]
+        for key, rows in (((a, b), succ[t]), ((b, a), pred[t])):
+            table = pair_tables.get(key)
+            pair_tables[key] = list(rows) if table is None else \
+                [x & y for x, y in zip(table, rows)]
+    differ = [{b for (x, b) in pair_tables if x == a and not pair_loops[min(a, b), max(a, b)]}
+              for a in range(n)]
+    groups: list = []
+    for a, b in combinations(range(n), 2):
+        if b in differ[a]:
+            members = [a, b]
+            for c in range(n):
+                if c not in members and all(c in differ[m] for m in members):
+                    members.append(c)
+            group = tuple(sorted(members))
+            if len(group) >= 3 and group not in groups:
+                groups.append(group)
+    by_row: list[dict] = [{} for _ in range(n)]
+    for (a, b), table in sorted(pair_tables.items()):
+        by_row[a].setdefault(tuple(table), []).append(b)
+    return domains, [list(row.items()) for row in by_row], groups
+
+
 def subpower_brute(algebra, k: int, generators) -> set[tuple[int, ...]]:
     """Naive fixpoint closure: full passes until nothing new appears."""
     current = {tuple(g) for g in generators}

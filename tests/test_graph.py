@@ -5,14 +5,16 @@ from itertools import product
 import pytest
 
 from helpers import (all_homomorphisms, cycle_hom_exists_brute, embedding_exists_brute,
-                     hom_exists_brute, isomorphic, odd_girth_brute, weakly_reachable_brute)
+                     hom_exists_brute, isomorphic, network_by_pairs, odd_girth_brute,
+                     weakly_reachable_brute)
 from loopcond import (BudgetExceeded, DiGraph, GraphFormatError, NotSymmetric, NotWeaklyConnected,
                       SIGGERS_IDENTITY, algebraic_length, clique, condition_graph,
                       cycle, directed_cycle, find_embedding, find_hom,
                       graph_from_json, graph_to_json, has_loop, is_bipartite,
                       is_smooth, is_symmetric, is_weakly_connected, odd_girth,
                       parse_condition, path, petersen, symmetric_part, to_dot)
-from loopcond.graph import _two_colouring
+from loopcond import graph as gr
+from loopcond.graph import _network, _two_colouring
 
 SMOOTH_ORIENTED = condition_graph(parse_condition("s(a,r,e,a)=s(r,a,r,e)"))
 
@@ -148,6 +150,68 @@ def test_cycle_reduction_search_is_backtrack_free() -> None:
     # with arc consistency maintained, one expansion per vertex suffices
     for k in (3, 9, 21):
         assert find_hom(cycle(k * k), cycle(k + 2), budget=k * k) is not None
+
+
+def _random_target(rng: random.Random, size: int, kind: str) -> DiGraph:
+    pairs = [(a, b) for a in range(size) for b in range(a + 1, size) if rng.random() < 0.5]
+    if kind == "symmetric":
+        edges = {e for a, b in pairs for e in ((a, b), (b, a))}
+    elif kind == "oriented":
+        edges = {(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs}
+    else:
+        edges = {(a, b) for a in range(size) for b in range(size) if rng.random() < 0.4}
+    return DiGraph(size, frozenset(edges))
+
+
+def test_network_matches_the_per_pair_reference() -> None:
+    # one table per edge signature gives the domains, groups and arcs that
+    # one table per ordered pair of variables gave, tables equal by value
+    # and neighbours in the same order, and equal tables share one cache
+    rng = random.Random(28)
+    seen = set()
+    for case in range(400):
+        size, n, slots = case % 5, rng.randint(0, 6), rng.randint(1, 3)
+        kinds = [rng.choice(("symmetric", "oriented", "looped")) for _ in range(slots)]
+        targets = [_random_target(rng, size, kind) for kind in kinds]
+        edges = [(rng.randrange(slots), rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 3 * n))]
+        for t, a, b in list(edges):
+            if rng.random() < 0.2:
+                edges.append((t, a, b) if rng.random() < 0.5 else (t, b, a))
+        domains, (arcs, groups) = _network(n, edges, targets)
+        assert (domains, [[(table, nbrs) for table, _, nbrs in row] for row in arcs],
+                groups) == network_by_pairs(n, edges, targets)
+        caches: dict = {}
+        for table, cache, _ in (arc for row in arcs for arc in row):
+            assert caches.setdefault(table, cache) is cache
+        assert len({id(cache) for cache in caches.values()}) == len(caches)
+        seen |= set(kinds) | {name for name, present in (
+            ("size 0", size == 0), ("n = 0", n == 0), ("groups", bool(groups)),
+            ("loop edge", any(a == b for _, a, b in edges)),
+            ("repeated edge", len(set(edges)) < len(edges)),
+            ("reversed edge", any((t, b, a) in edges for t, a, b in edges if a != b)))
+            if present}
+    assert seen == {"size 0", "n = 0", "loop edge", "repeated edge", "reversed edge", "groups",
+                    "symmetric", "oriented", "looped"}
+
+
+def test_network_builds_one_table_per_edge_signature(monkeypatch) -> None:
+    # every ordered pair of C_2401's variables carries slot 0's out- and
+    # in-rows, so its arcs hold one table; in the embedding of P_40 into
+    # K_40, the path's pairs carry both slots and the others slot 1 alone,
+    # so two signatures
+    built = []
+
+    def recorded(*args):
+        built.append(_network(*args))
+        return built[-1]
+
+    monkeypatch.setattr(gr, "_network", recorded)
+    assert find_hom(cycle(2401), cycle(51)) is not None
+    assert find_embedding(path(40), clique(40)) is not None
+    (_, (hom_arcs, _)), (_, (embedding_arcs, _)) = built
+    assert len({id(table) for row in hom_arcs for table, _, _ in row}) == 1
+    assert len({id(table) for row in embedding_arcs for table, _, _ in row}) <= 2
 
 
 def test_hom_composition_on_test_family() -> None:

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from loopcond import clique, clique_F, clique_R, cycle, evaluate, find_hom
-from loopcond.constructions import clique_r_gadget, clique_s_gadget
+from loopcond.constructions import clique_r_gadget, clique_s_gadget, verify_cycle_reduction
 
 
 # n = 6 is the cap of `loopcond verify --clique-n`
@@ -51,8 +51,8 @@ def test_cycle_reduction_hom_within_one_expansion_per_vertex(k) -> None:
 def test_largest_cycle_reduction_hom_keeps_a_flat_undo_trail() -> None:
     # verify --cycle-k 49 searches C_2401 -> C_51 with no backtrack, so the
     # undo trail keeps every domain change.  Peak traced by tracemalloc on
-    # CPython 3.11.7: 12,572 KB with a flat trail (a variable, then its old
-    # domain), 16,692 KB with one tuple per change
+    # CPython 3.11.7: 7,569 KB with a flat trail (a variable, then its old
+    # domain), 12,871 KB with one tuple per change
     g, h = cycle(2401), cycle(51)
     tracemalloc.start()
     try:
@@ -61,3 +61,19 @@ def test_largest_cycle_reduction_hom_keeps_a_flat_undo_trail() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 14_500 * 1024
+
+
+def test_largest_benchmark_cycle_reduction_builds_one_table_per_signature() -> None:
+    # verify_cycle_reduction(17), the benchmark's largest search, searches
+    # C_289 -> C_19, whose pairs of variables all carry one edge signature.
+    # Peak traced by tracemalloc on CPython 3.11.7, after a first call has
+    # filled the interpreter's tuple free lists: 357 KB with one table per
+    # distinct signature, 575 KB with one table per ordered pair
+    verify_cycle_reduction(17)
+    tracemalloc.start()
+    try:
+        assert verify_cycle_reduction(17).all_pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 450 * 1024
