@@ -580,12 +580,16 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
               for op in a.operations if not op.arity]
 
     def blockwise(op: Operation):
-        # coordinate j of a block is one kernel call over the block, each
-        # head and tail item's coordinate j repeated along it
+        # a block is one kernel call on its k coordinate columns joined, each
+        # head and tail item's coordinate j repeated along coordinate j's run
+        # and the block's own columns between them; the result is sliced
+        # back into k columns
         def fn(head, column, tail):
-            return [_apply_columns(op, a.size, [(h[j],) * len(xs) for h in head] + [xs]
-                                   + [(x[j],) * len(xs) for x in tail], len(xs), tuple)
-                    for j, xs in enumerate(column)]
+            length = len(column[0]) if k else 0
+            cols = [_concat(tuple, map(repeat, x, repeat(length))) for x in head + tail]
+            cols.insert(len(head), _concat(tuple, column))
+            joined = _apply_columns(op, a.size, cols, k * length, tuple)
+            return [joined[j * length:(j + 1) * length] for j in range(k)]
         return fn
 
     res = _close(seeds, [(op.name, op.arity, blockwise(op)) for op in a.operations

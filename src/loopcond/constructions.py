@@ -7,10 +7,10 @@ and derives F and Q from those relations."""
 from __future__ import annotations
 
 import json
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 from .errors import NotSymmetric, SizeCap, _Value
-from .graph import DiGraph, _bits, clique, cycle, find_hom, is_symmetric
+from .graph import DiGraph, _bits, _walks, clique, cycle, find_hom, is_symmetric
 from .ppdef import Gadget, Relation, evaluate, pp_power, relation_to_graph, witness
 
 
@@ -68,24 +68,11 @@ def walk_relation(g: DiGraph, k: int) -> DiGraph:
 
 def _walk_rows(g: DiGraph, k: int) -> list[int]:
     """Row v of the k-step walk relation of g: the bitmask of the vertices
-    that walks of exactly k edges from v reach.
-
-    Row v is 1 << v at first, and each of the k steps sets it to the OR of
-    the previous rows of v's out-neighbours (from DiGraph._masks).  That is
-    k*|E| ORs of n-bit integers, with two lists of n rows alive at a time.
-    """
+    that walks of exactly k edges from v reach, the k-th rows of the one
+    walk of the graph layer (graph._walks)."""
     if k < 1:
         raise ValueError("walk length must be positive")
-    succ = [list(_bits(m)) for m in g._masks[0]]
-    rows = [1 << v for v in range(g.n)]
-    for _ in range(k):
-        prev, rows = rows, []
-        for out in succ:
-            row = 0
-            for w in out:
-                row |= prev[w]
-            rows.append(row)
-    return rows
+    return next(islice(_walks(g), k - 1, None))
 
 
 def walk_gadget(k: int) -> Gadget:

@@ -140,31 +140,30 @@ def _two_colouring(g: DiGraph) -> list[int] | None:
 def odd_girth(g: DiGraph) -> int | None:
     """Length of a shortest odd cycle of a symmetric graph; None iff bipartite.
 
-    A loop is an odd cycle of length 1.  Computed as the shortest odd closed
-    walk by a breadth-first search over (vertex, parity) states from each
-    vertex, one layer of vertices at a time as a bitmask.
+    A loop is an odd cycle of length 1.  Read off the walk rows (_walks):
+    the least odd k at which some row v holds bit v, as a shortest odd
+    closed walk is a cycle.  The stop rests on symmetry: a walk can step
+    back and forth along its last edge, so from k to k + 2 the rows only
+    grow, and the rows at k + 2 are those at k stepped twice.  Once two
+    consecutive odd rows agree they stay fixed, so if they hold no loop the
+    graph is bipartite.  A component of diameter d fixes its odd rows once
+    k reaches d when it is bipartite, and has an odd cycle of length at
+    most 2d + 1 otherwise, so the walk takes at most about twice the
+    diameter in steps.
     """
     if not is_symmetric(g):
         raise NotSymmetric("odd girth is defined for symmetric graphs only")
-    nbrs = g._masks[0]
-    best: int | None = None
-    for s in range(g.n):
-        # seen[p]: vertices reached from s by a walk of parity p so far
-        seen = [1 << s, 0]
-        layer, d = 1 << s, 0
-        while layer and (best is None or d + 1 < best):
-            d += 1
-            reached, m = 0, layer
-            while m:
-                low = m & -m
-                reached |= nbrs[low.bit_length() - 1]
-                m ^= low
-            layer = reached & ~seen[d & 1]
-            if d & 1 and layer >> s & 1:
-                best = d
-                break
-            seen[d & 1] |= layer
-    return best
+    walks = _walks(g)
+    rows, k = next(walks), 1
+    while True:
+        for v, row in enumerate(rows):
+            if row >> v & 1:
+                return k
+        next(walks)
+        later = next(walks)
+        if later == rows:
+            return None
+        rows, k = later, k + 2
 
 
 def is_smooth(g: DiGraph) -> bool:
@@ -201,6 +200,27 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _walks(g: DiGraph):
+    """The rows of g's walk relations after 1, 2, 3, ... steps: row v is the
+    bitmask of the vertices that walks of exactly k edges from v reach.
+
+    The rows after one step are the out-masks (DiGraph._masks), and each
+    further step sets row v to the OR of the previous rows of v's
+    out-neighbours.  That is |E| ORs of n-bit integers per step, with two
+    lists of n rows alive at a time; each list yielded is a new one.
+    """
+    rows = list(g._masks[0])
+    succ = [list(_bits(m)) for m in rows]
+    while True:
+        yield rows
+        prev, rows = rows, []
+        for out in succ:
+            row = 0
+            for w in out:
+                row |= prev[w]
+            rows.append(row)
 
 
 def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], tuple]:
@@ -266,37 +286,6 @@ def _network(n: int, edges, targets: list[DiGraph]) -> tuple[list[int], tuple]:
     values, caches = list(tables), [{} for _ in tables]
     arcs = [[(values[k], caches[k], nbrs) for k, nbrs in g.items()] for g in by_row]
     return domains, (arcs, groups)
-
-
-def _twin_classes(graphs: list[DiGraph]) -> list[list[int]]:
-    """The twin classes common to graphs on one vertex set: a partition of
-    the vertices, each class ascending and the classes in order of their
-    least members, such that swapping two vertices of a class is an
-    automorphism of every graph.
-
-    In one graph, i and j are non-adjacent twins when their out- and
-    in-masks agree with the own bit cleared and their loops agree, and
-    adjacent twins when the same holds with the own bit set.  Each is
-    equality of a key, so an equivalence, and no vertex has twins of both
-    kinds: were j a non-adjacent and k an adjacent twin of i, then k -> i
-    would give k -> j, while k, agreeing with i off {i, k}, has no edge to
-    j.  So each graph labels a vertex by the least of its twins, and the
-    common classes group the vertices by their labels in every graph.
-    """
-    labels: list[list[int]] = [[] for _ in range(graphs[0].n)]
-    for g in graphs:
-        outs, ins = g._masks
-        apart: dict[tuple[int, int, int], int] = {}
-        joined: dict[tuple[int, int, int], int] = {}
-        for v, label in enumerate(labels):
-            bit = 1 << v
-            loop = outs[v] >> v & 1
-            label.append(min(apart.setdefault((outs[v] & ~bit, ins[v] & ~bit, loop), v),
-                             joined.setdefault((outs[v] | bit, ins[v] | bit, loop), v)))
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v, label in enumerate(labels):
-        classes.setdefault(tuple(label), []).append(v)
-    return list(classes.values())
 
 
 def _arc_search(domains: list[int], constraints: tuple, order: list[int], budget: int,

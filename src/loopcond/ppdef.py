@@ -14,8 +14,7 @@ import json
 from itertools import chain, permutations, product
 
 from .errors import ArityNotDivisible, GadgetFormatError, SlotMismatch, _Value
-from .graph import (DEFAULT_BUDGET, DiGraph, _arc_search, _decode, _field, _ints, _network,
-                    _twin_classes)
+from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _decode, _field, _ints, _network
 
 
 class Relation(_Value):
@@ -124,6 +123,37 @@ def _gadget_network(gadget: Gadget,
     return domains, constraints, order, len(first)
 
 
+def _twin_classes(graphs: list[DiGraph]) -> list[list[int]]:
+    """The twin classes common to graphs on one vertex set: a partition of
+    the vertices, each class ascending and the classes in order of their
+    least members, such that swapping two vertices of a class is an
+    automorphism of every graph.
+
+    In one graph, i and j are non-adjacent twins when their out- and
+    in-masks agree with the own bit cleared and their loops agree, and
+    adjacent twins when the same holds with the own bit set.  Each is
+    equality of a key, so an equivalence, and no vertex has twins of both
+    kinds: were j a non-adjacent and k an adjacent twin of i, then k -> i
+    would give k -> j, while k, agreeing with i off {i, k}, has no edge to
+    j.  So each graph labels a vertex by the least of its twins, and the
+    common classes group the vertices by their labels in every graph.
+    """
+    labels: list[list[int]] = [[] for _ in range(graphs[0].n)]
+    for g in graphs:
+        outs, ins = g._masks
+        apart: dict[tuple[int, int, int], int] = {}
+        joined: dict[tuple[int, int, int], int] = {}
+        for v, label in enumerate(labels):
+            bit = 1 << v
+            loop = outs[v] >> v & 1
+            label.append(min(apart.setdefault((outs[v] & ~bit, ins[v] & ~bit, loop), v),
+                             joined.setdefault((outs[v] | bit, ins[v] | bit, loop), v)))
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, label in enumerate(labels):
+        classes.setdefault(tuple(label), []).append(v)
+    return list(classes.values())
+
+
 def _checked_twins(inputs: list[DiGraph]) -> list[tuple[int, ...]]:
     """The twin classes of the inputs with two or more members, each member
     checked against its class's least vertex: swapping the two must be an
@@ -175,7 +205,7 @@ def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
 
     An automorphism common to all inputs maps the relation onto itself, as
     it maps every witness to one of the image tuple.  When swapping any two
-    vertices of a twin class (graph._twin_classes, checked here) is such an
+    vertices of a twin class (_twin_classes, checked here) is such an
     automorphism, every permutation within the classes is, so the search
     needs only each orbit's least-first tuple, whose members of each class
     are the least ones in order of first occurrence.  The i-th distinct

@@ -18,6 +18,9 @@ SMOOTH = "s(a,r,e,a)=s(r,a,r,e)"
 FIVE = "t(a,b,b,c,c,d,d,e,e,a)=t(b,a,c,b,d,c,e,d,a,e)"
 COMM = "t(x,y)=t(y,x)"
 PATH3 = "t(x,y,y,z)=t(y,x,z,y)"  # the symmetric path x-y-z: bipartite
+# the symmetric 9-cycle a..i with the pendant path i-j-k
+C9_PENDANT = ("t(a,b,b,c,c,d,d,e,e,f,f,g,g,h,h,i,i,a,i,j,j,k)"
+              "=t(b,a,c,b,d,c,e,d,f,e,g,f,h,g,i,h,a,i,j,i,k,j)")
 Z2 = None  # stands for the z2_file fixture in argv lists
 
 
@@ -380,6 +383,9 @@ FROZEN_RUNS = {
     "graph-info-odd-cycle": (["graph-info", FIVE], 0, "c38c5bf8c137ac9e", E),
     "graph-info-odd-cycle-json": (["graph-info", FIVE, "--json"], 0,
                                   "b78b480c479d119d", E),
+    "graph-info-pendant-odd-cycle": (["graph-info", C9_PENDANT], 0, "81c660d6138edad6", E),
+    "graph-info-pendant-odd-cycle-json": (["graph-info", C9_PENDANT, "--json"], 0,
+                                          "6fb56f070bfd3d61", E),
     "implies-found": (["implies", FIVE, SIGGERS_IDENTITY], 0, "7a3d10b67d7f0fe3", E),
     "implies-found-json": (["implies", FIVE, SIGGERS_IDENTITY, "--json"], 0,
                            "934f2d2655e49af0", E),

@@ -82,6 +82,28 @@ def test_unary_closure_copies_each_item_once() -> None:
     assert copied <= 2 * 2001
 
 
+def test_subpower_block_is_one_kernel_call(monkeypatch) -> None:
+    # the orbit of (0, ..., 40) under a permutation with cycles 2, 3, 5, 7,
+    # 11 and 13 has 30,030 tuples, each step of the unary closure one block
+    # of one item; composing each of the 41 coordinates of a block in a
+    # kernel call of its own took 1,231,230 calls
+    cycles = (2, 3, 5, 7, 11, 13)
+    starts = [sum(cycles[:i]) for i in range(len(cycles))]
+    perm = tuple(s + (x + 1) % c for s, c in zip(starts, cycles) for x in range(c))
+    a = FiniteAlgebra(len(perm), (Operation("p", 1, perm),))
+    calls = 0
+    kernel = algebra._apply_columns
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+    monkeypatch.setattr(algebra, "_apply_columns", counted)
+    res = generate_subpower(a, len(perm), [tuple(range(len(perm)))])
+    assert (res.complete, res.elements_generated) == (True, 30030)
+    assert calls == 30030
+
+
 def test_projections_match_product_reference() -> None:
     for size in range(1, 5):
         for n in range(1, 6):

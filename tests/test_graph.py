@@ -49,6 +49,24 @@ def test_bipartite_and_odd_girth_examples() -> None:
     assert odd_girth(loop) == 1
 
 
+def _union(*graphs: DiGraph) -> DiGraph:
+    """The disjoint union, each graph's vertices numbered after the last's."""
+    edges: set[tuple[int, int]] = set()
+    n = 0
+    for g in graphs:
+        edges |= {(a + n, b + n) for a, b in g.edges}
+        n += g.n
+    return DiGraph(n, frozenset(edges))
+
+
+def _grid(rows: int, cols: int, *, wrap: bool = False) -> DiGraph:
+    """The symmetric rows x cols grid; with wrap, the torus C_rows x C_cols."""
+    pairs = [(i * cols + j, (i + di) % rows * cols + (j + dj) % cols)
+             for i in range(rows) for j in range(cols) for di, dj in ((1, 0), (0, 1))
+             if wrap or (i + di < rows and j + dj < cols)]
+    return DiGraph(rows * cols, frozenset(e for a, b in pairs for e in ((a, b), (b, a))))
+
+
 def test_odd_girth_matches_brute_force() -> None:
     rng = random.Random(11)
     graphs = [cycle(k) for k in range(1, 9)] + [clique(k) for k in range(1, 6)]
@@ -56,9 +74,44 @@ def test_odd_girth_matches_brute_force() -> None:
     for _ in range(30):
         g = _random_graph(rng, rng.randint(1, 6), 0.4)
         graphs.append(symmetric_part(g))
+    # rows that stop growing: no vertex, isolated vertices, a loop in one
+    # component only, bipartite and odd components side by side
+    looped_edge = DiGraph(2, frozenset({(0, 0), (0, 1), (1, 0)}))
+    graphs += [DiGraph(0, frozenset()), DiGraph(4, frozenset()),
+               _union(path(4), looped_edge, DiGraph(1, frozenset())),
+               _union(path(5), cycle(3)), _union(cycle(4), cycle(7)), _grid(3, 4)]
     for g in graphs:
         assert odd_girth(g) == odd_girth_brute(g)
         assert is_bipartite(g) == (odd_girth(g) is None)
+    # known values, where the brute force is too slow
+    known = [(cycle(k), k if k % 2 else None) for k in range(9, 62)]
+    known += [(_union(cycle(31), path(40)), 31), (_union(path(40), cycle(31)), 31),
+              (_grid(15, 15), None), (_grid(6, 8, wrap=True), None),
+              (_grid(9, 11, wrap=True), 9), (_union(_grid(10, 10), clique(3)), 3)]
+    for g, girth in known:
+        assert odd_girth(g) == girth
+        assert is_bipartite(g) == (girth is None)
+
+
+def test_odd_girth_walk_stops_once_the_odd_rows_settle(monkeypatch) -> None:
+    # the walk ends two steps after its odd rows stop growing: P_200's odd
+    # rows settle at 199 steps, 100 disjoint edges' at 1, and the odd girth
+    # of C_31 beside P_40 is read at step 31.  A walk bounded by n alone
+    # would take 200 steps on the edges
+    steps = 0
+    walks = gr._walks
+
+    def counted(g: DiGraph):
+        nonlocal steps
+        for rows in walks(g):
+            steps += 1
+            yield rows
+    monkeypatch.setattr(gr, "_walks", counted)
+    for g, girth, most in [(path(200), None, 202), (_union(*[path(2)] * 100), None, 3),
+                           (_union(cycle(31), path(40)), 31, 31)]:
+        steps = 0
+        assert odd_girth(g) == girth
+        assert steps <= most
 
 
 def test_predicates_require_symmetry() -> None:

@@ -10,7 +10,7 @@ from loopcond import (ArityNotDivisible, DiGraph, Gadget, GadgetFormatError, Rel
                       graph_to_relation, pp_flatten, pp_power, relation_to_graph,
                       walk_gadget, witness)
 from loopcond import ppdef
-from loopcond.graph import _twin_classes
+from loopcond.ppdef import _twin_classes
 
 
 def test_relation_validation_and_full() -> None:

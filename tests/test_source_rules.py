@@ -143,9 +143,9 @@ def test_search_core_takes_constraints_as_arcs_not_flags() -> None:
 def test_graph_bitmask_adjacency_is_built_once() -> None:
     # one adjacency per graph: DiGraph._masks ORs each edge's bit into the
     # neighbour masks of its ends, and every other reader of a graph's
-    # neighbours, in any module (odd_girth, is_smooth, _network, core,
-    # walk_relation), takes the masks from there rather than filling
-    # per-vertex masks or lists while it loops over .edges
+    # neighbours, in any module (the walk _walks, is_smooth, _network, core),
+    # takes the masks from there rather than filling per-vertex masks or
+    # lists while it loops over .edges
     def fills_per_vertex(node: ast.AST) -> bool:
         if isinstance(node, ast.AugAssign):
             return isinstance(node.target, ast.Subscript)
@@ -166,6 +166,23 @@ def test_graph_bitmask_adjacency_is_built_once() -> None:
              if isinstance(fn, ast.FunctionDef)
              and any(builds_adjacency(loop) for loop in ast.walk(fn))]
     assert found == ["graph.py:DiGraph._masks"]
+
+
+def test_graph_layer_has_one_walk() -> None:
+    # one k-step walk: graph._walks ORs the previous rows of a vertex's
+    # out-neighbours into its next row, and odd_girth and walk_relation read
+    # the rows it yields.  Besides it only _arc_search ORs a subscripted row
+    # into a variable, for its domain unions and its group counts
+    found = sorted({f"{name}:{fn.name}"
+                    for name, tree in _trees()
+                    for fn in tree.body + [fn for cls in tree.body
+                                           if isinstance(cls, ast.ClassDef) for fn in cls.body]
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+                    and isinstance(node.target, ast.Name)
+                    and isinstance(node.value, ast.Subscript)})
+    assert found == ["graph.py:_arc_search", "graph.py:_walks"]
 
 
 def test_affine_path_enumerates_no_candidates() -> None:
