@@ -20,6 +20,13 @@ inclusion C -> G, and checked on all rows.  Only where C's closure hits its
 element cap does G's own closure decide.  The ExponentCap on table entries
 still counts G's variables.
 
+Where G's closure hits its element cap, or the ExponentCap gate would
+raise, one cheap route runs last: a constant unary term c of A satisfies
+every loop condition, with the witness t(x1..xn) = c(x1).  The unary term
+operations are closed from the identity map, by the tuple closure
+`generate_subpower` runs on, up to max_elements table entries, and the
+first constant one, checked constant on A's elements, is the answer.
+
 The closure engine `_close` hands each operation whole blocks of argument
 combinations, runs that differ only in their last argument ranging over
 the items.  A block is a tuple of equally long columns, one per component
@@ -564,20 +571,12 @@ class SubpowerResult:
         self.elements_generated = elements_generated
 
 
-def generate_subpower(a: FiniteAlgebra, k: int, generators,
-                      cap: int = DEFAULT_MAX_ELEMENTS) -> SubpowerResult:
-    """Least subset of A^k containing the generators and closed under all
-    operations coordinatewise.  Provenance: generator i has ("gen", i), an
-    int payload, a generated element (op name, argument tuples); the
-    payload's type tells them apart, as an operation may be named "gen"."""
-    from .ppdef import Relation
-    gens = [tuple(g) for g in generators]
-    for g in gens:
-        if len(g) != k or any(not 0 <= x < a.size for x in g):
-            raise ValueError(f"generator {g} is not a valid {k}-tuple")
-    seeds = [(g, ("gen", i)) for i, g in enumerate(gens)]
-    seeds += [(_apply_columns(op, a.size, (), k, tuple), (op.name, ()))
-              for op in a.operations if not op.arity]
+def _close_tuples(a: FiniteAlgebra, k: int, seeds: list, cap: int,
+                  stop: Callable | None = None) -> _Closure:
+    """`_close` of seeds, (k-tuple, provenance) pairs, under a's operations
+    coordinatewise, each 0-ary operation's value a seed tagged (name, ())."""
+    seeds = seeds + [(_apply_columns(op, a.size, (), k, tuple), (op.name, ()))
+                     for op in a.operations if not op.arity]
 
     def blockwise(op: Operation):
         # a block is one kernel call on its k coordinate columns joined, each
@@ -592,8 +591,22 @@ def generate_subpower(a: FiniteAlgebra, k: int, generators,
             return [joined[j * length:(j + 1) * length] for j in range(k)]
         return fn
 
-    res = _close(seeds, [(op.name, op.arity, blockwise(op)) for op in a.operations
-                         if op.arity], cap)
+    return _close(seeds, [(op.name, op.arity, blockwise(op)) for op in a.operations
+                          if op.arity], cap, stop)
+
+
+def generate_subpower(a: FiniteAlgebra, k: int, generators,
+                      cap: int = DEFAULT_MAX_ELEMENTS) -> SubpowerResult:
+    """Least subset of A^k containing the generators and closed under all
+    operations coordinatewise.  Provenance: generator i has ("gen", i), an
+    int payload, a generated element (op name, argument tuples); the
+    payload's type tells them apart, as an operation may be named "gen"."""
+    from .ppdef import Relation
+    gens = [tuple(g) for g in generators]
+    for g in gens:
+        if len(g) != k or any(not 0 <= x < a.size for x in g):
+            raise ValueError(f"generator {g} is not a valid {k}-tuple")
+    res = _close_tuples(a, k, [(g, ("gen", i)) for i, g in enumerate(gens)], cap)
     return SubpowerResult(Relation(a.size, k, frozenset(res.items)),
                           {x: res[x] for x in res.items}, res.complete, len(res.items))
 
@@ -751,6 +764,30 @@ def _reindex(t: Term, positions: list[int]) -> Term:
                  if type(s) is App else Var(positions[s.index]))
 
 
+def _constant_term(a: FiniteAlgebra, max_elements: int) -> Term | None:
+    """A constant unary term c(x1) of a, or None if none shows up within
+    max_elements // a.size unary terms (max_elements table entries).
+
+    Closes the unary term operations, tuples over A from the identity map,
+    and stops at the first constant one.  The term replayed from it is
+    evaluated on A's elements, and AssertionError is raised unless every
+    value is the same: that check certifies t(x1..xn) = c(x1) as a witness
+    of every loop condition, whatever its number of rows.
+    """
+    def first_constant(block) -> int | None:
+        return next(compress(count(), map((1).__eq__, map(len, map(set, zip(*block))))), None)
+
+    identity = tuple(range(a.size))
+    res = _close_tuples(a, a.size, [(identity, ("gen", 0))], max_elements // a.size,
+                        stop=first_constant)
+    if res.found is None:
+        return None
+    term = _term_from_provenance(res.found, res)
+    if len(set(_term_column(a, term, [identity], a.size, tuple))) != 1:
+        raise AssertionError("unary term found constant takes more than one value")
+    return term
+
+
 def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
                         max_entries: int = DEFAULT_MAX_ENTRIES,
                         max_elements: int = DEFAULT_MAX_ELEMENTS) -> Decision:
@@ -787,10 +824,17 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
     - ResourceExceeded on C: G's own closure decides, as it does when G is
       its own core or the core search runs over its budget.
 
+    Where G's closure on R passes max_elements, or size^|variables| exceeds
+    max_entries (G's variables, even where C has fewer), the unary terms of
+    the algebra are closed from the identity map, up to max_elements // size
+    terms, and the first constant one c is returned as Satisfied(c(x1)):
+    it is checked to take one value on all of A, so t(u1..un) = c(u1) =
+    c(v1) = t(v1..vn) on every row, however many rows there are.
+
     A soundness check that fails raises AssertionError.
 
-    Honest resource outcomes: raises ExponentCap if size^|variables| exceeds
-    max_entries (G's variables, even where C has fewer), and returns
+    Honest resource outcomes, where no constant unary term shows up: raises
+    ExponentCap if size^|variables| exceeds max_entries, and returns
     ResourceExceeded when the closure on R passes max_elements.  Its
     elements_generated counts that closure, which is never larger than the
     full one.
@@ -798,8 +842,11 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
     n = len(c.variables)
     rows = a.size ** n
     if rows > max_entries:
-        raise ExponentCap(
-            f"free-algebra tables need {rows} entries, cap is {max_entries}")
+        term = _constant_term(a, max_elements)
+        if term is None:
+            raise ExponentCap(
+                f"free-algebra tables need {rows} entries, cap is {max_entries}")
+        return Satisfied(term)
 
     g = condition_graph(c)
     try:
@@ -822,7 +869,12 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
             if not verify_witness(a, c, term):
                 raise AssertionError("witness carried from the core fails on the condition")
             return Satisfied(term)
-    return _refine(a, c, max_elements)
+    decision = _refine(a, c, max_elements)
+    if isinstance(decision, ResourceExceeded):
+        term = _constant_term(a, max_elements)
+        if term is not None:
+            return Satisfied(term)
+    return decision
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from loopcond import (AlgebraFormatError, App, BadTerm, COMMUTATIVITY_IDENTITY,
                       is_compatible, mod_affine_algebra, parse_condition, path,
                       petersen, projection_algebra, satisfies_condition, term_to_string,
                       verify_witness)
-from loopcond.algebra import (_differing_rows, _term_from_provenance,
-                              _variable_columns)
+from loopcond.algebra import (DEFAULT_MAX_ELEMENTS, _constant_term, _differing_rows, _refine,
+                              _term_from_provenance, _variable_columns)
 
 Z2 = mod_affine_algebra(2)  # x + y - z == x + y + z mod 2
 Z3 = mod_affine_algebra(3)
@@ -259,6 +259,53 @@ def test_resource_exceeded_is_honest() -> None:
     decision = satisfies_condition(Z2, SIGGERS, max_elements=1)
     assert isinstance(decision, ResourceExceeded)
     assert decision.elements_generated == 2
+
+
+def test_constant_term_route_matches_the_brute_unary_closure() -> None:
+    # the route closes the unary terms from the identity map: it finds a
+    # term exactly when some unary term is constant (22 of the 3-element
+    # pool algebras, 11 of the 4-element ones), and each term it finds
+    # takes one value on the whole universe
+    found = 0
+    for size, seeds in ((3, range(30)), (4, range(16))):
+        for seed in seeds:
+            a = pool_algebra(size, seed)
+            term = _constant_term(a, DEFAULT_MAX_ELEMENTS)
+            unary = subpower_brute(a, size, [tuple(range(size))])
+            assert (term is not None) == any(len(set(u)) == 1 for u in unary), (size, seed)
+            if term is not None:
+                assert len({term_value_brute(a, term, (x,)) for x in range(size)}) == 1
+                found += 1
+    assert found == 33
+
+
+@pytest.mark.parametrize("seed, graph, caps, expected", [
+    # G's closure stops at 2000 elements, and f(...(x1)...) is constant
+    (9, cycle(5), {"max_elements": 2000},
+     "f(f(f(f(x1,x1),f(x1,x1)),x1),f(f(x1,x1),f(f(x1,x1),x1)))"),
+    # 4^7 = 16,384 rows are past the default 4096 entries
+    (0, cycle(7), {},
+     "f(f(f(x1,f(x1,x1)),x1),f(f(f(x1,x1),f(x1,x1)),f(x1,x1)))"),
+    # no unary term of pool algebra 3 is constant
+    (3, cycle(7), {}, "free-algebra tables need 16384 entries, cap is 4096"),
+], ids=["capped", "exponent", "no-constant"])
+def test_capped_decisions_fall_back_on_a_constant_unary_term(seed, graph, caps,
+                                                             expected) -> None:
+    a, c = pool_algebra(4, seed), condition_from_graph(graph)
+    if expected.startswith("free"):
+        with pytest.raises(ExponentCap) as info:
+            satisfies_condition(a, c, **caps)
+        assert str(info.value) == expected
+        return
+    if "max_elements" in caps:
+        assert isinstance(_refine(a, c, caps["max_elements"]), ResourceExceeded)
+    decision = satisfies_condition(a, c, **caps)
+    assert isinstance(decision, Satisfied)
+    assert term_to_string(decision.term) == expected
+    if len(c.variables) <= 5:
+        assert witness_holds_brute(a, c, decision.term)
+    assert len({term_value_brute(a, decision.term, (x,)) for x in range(a.size)}) == 1
+
 
 
 def test_constant_operation_satisfies_everything() -> None:

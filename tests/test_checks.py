@@ -59,8 +59,14 @@ _Z3_C6 = "alg.satisfies_condition(mod_affine_algebra(3), condition_from_graph(cy
      "alg._refine = lambda a, c, cap: alg.Satisfied(alg.Var(0)) \\\n"
      "    if len(c.variables) < 6 else refine(a, c, cap)",
      _Z3_C6, "witness carried from the core fails on the condition"),
+    # f(x1) = 0 is a constant unary term, found where the 2^3 rows of K3 are
+    # over the cap; the term is then evaluated as not constant
+    ("alg._term_column = lambda a, t, leaves, length, kind: tuple(range(length))",
+     "alg.satisfies_condition(alg.FiniteAlgebra(2, (alg.Operation('f', 1, (0, 0)),)), "
+     "condition_from_graph(gr.clique(3)), max_entries=0)",
+     "unary term found constant takes more than one value"),
 ], ids=["retraction", "core onto", "ppdef witness", "ppdef twins", "core edge",
-        "carried witness"])
+        "carried witness", "constant term"])
 def test_soundness_checks_raise_under_optimize(setup, call, message) -> None:
     # python -O strips assert statements, so the checks must raise by themselves
     script = _OPTIMIZED_CHILD.format(setup=setup, call=call)

@@ -10,18 +10,22 @@ import pytest
 
 import loopcond
 
+from helpers import pool_algebra
 from loopcond import (SIGGERS_IDENTITY, algebra, algebra_to_json, clique,
                       condition_from_graph, graph, mod_affine_algebra, projection_algebra)
 from loopcond.cli import build_parser, main
 
 SMOOTH = "s(a,r,e,a)=s(r,a,r,e)"
 FIVE = "t(a,b,b,c,c,d,d,e,e,a)=t(b,a,c,b,d,c,e,d,a,e)"
+SEVEN = "t(a,b,b,c,c,d,d,e,e,f,f,g,g,a)=t(b,a,c,b,d,c,e,d,f,e,g,f,a,g)"
 COMM = "t(x,y)=t(y,x)"
 PATH3 = "t(x,y,y,z)=t(y,x,z,y)"  # the symmetric path x-y-z: bipartite
 # the symmetric 9-cycle a..i with the pendant path i-j-k
 C9_PENDANT = ("t(a,b,b,c,c,d,d,e,e,f,f,g,g,h,h,i,i,a,i,j,j,k)"
               "=t(b,a,c,b,d,c,e,d,f,e,g,f,h,g,i,h,a,i,j,i,k,j)")
 Z2 = None  # stands for the z2_file fixture in argv lists
+# stand for files of the pool algebras (helpers.pool_algebra) in FROZEN_RUNS
+POOL_4_9, POOL_4_0 = (4, 9), (4, 0)
 
 
 @pytest.fixture
@@ -421,14 +425,33 @@ FROZEN_RUNS = {
     "verify-json": (["verify", "--cycle-k", "5", "--clique-n", "3", "--json"], 0,
                     "939f56c0c78be9c0", E),
     "audit": (["audit"], 0, "1331d0789f7fbd43", E),
+    # G's closure stops at the cap, and a constant unary term answers
+    "constant-term-capped": (["satisfies", FIVE, "--algebra", POOL_4_9,
+                              "--max-elements", "2000"], 0, "f0903e230545666c", E),
+    "constant-term-capped-json": (["satisfies", FIVE, "--algebra", POOL_4_9,
+                                   "--max-elements", "2000", "--json"], 0,
+                                  "e9983f7d29461b50", E),
+    # 4^7 rows are past the default entry cap, and a constant unary term answers
+    "constant-term-exponent": (["satisfies", SEVEN, "--algebra", POOL_4_0], 0,
+                               "e5cea64d238c61e9", E),
+    "constant-term-exponent-json": (["satisfies", SEVEN, "--algebra", POOL_4_0, "--json"], 0,
+                                    "7a0ff3d303cba320", E),
     "satisfies-needs-oracle": (["satisfies", COMM], 2, E, "2cb2a820e24b7c1c"),
     "verify-needs-report": (["verify"], 2, E, "63e84b2c748a61d5"),
 }
 
 
 @pytest.mark.parametrize("argv, code, out, err", FROZEN_RUNS.values(), ids=FROZEN_RUNS)
-def test_cli_output_is_frozen(z2_file, capsys, argv, code, out, err) -> None:
-    assert main([z2_file if a is Z2 else a for a in argv]) == code
+def test_cli_output_is_frozen(z2_file, tmp_path, capsys, argv, code, out, err) -> None:
+    def path(a):
+        if a is Z2:
+            return z2_file
+        if type(a) is tuple:
+            target = tmp_path / "pool{}.{}.json".format(*a)
+            target.write_text(algebra_to_json(pool_algebra(*a)))
+            return str(target)
+        return a
+    assert main(list(map(path, argv))) == code
     captured = capsys.readouterr()
     assert [hashlib.sha256(s.encode()).hexdigest()[:16]
             for s in (captured.out, captured.err)] == [out, err]

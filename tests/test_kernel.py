@@ -10,10 +10,11 @@ from operator import add
 import pytest
 
 from loopcond import (COMMUTATIVITY_IDENTITY, SIGGERS_IDENTITY, FiniteAlgebra,
-                      Operation, Satisfied, affine_satisfies, clique,
+                      Operation, ResourceExceeded, Satisfied, affine_satisfies, clique,
                       condition_from_graph, cycle, decision_to_json_dict,
                       mod_affine_algebra, parse_condition, satisfies_condition,
                       verify_witness)
+from loopcond import algebra
 from loopcond.algebra import Column, _apply_columns
 
 # (size, arity): below 256 entries, exactly 256, above 256, and 0-ary
@@ -148,3 +149,24 @@ def test_decisions_outside_the_packed_range_are_frozen() -> None:
                                        max_elements=3000)
         assert json.dumps(decision_to_json_dict(decision), sort_keys=True) == expected, \
             (name, cname)
+
+
+def test_constant_term_route_is_bounded_by_table_entries(monkeypatch) -> None:
+    # gp has no constant unary term, and its unary closure is wide: at 3000
+    # elements the route closes at most 3000 // 300 + 1 unary terms of 300
+    # entries each, after G's closure hit the cap
+    closures = []
+    close_tuples = algebra._close_tuples
+
+    def recorded(*args, **kwargs):
+        closures.append(close_tuples(*args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(algebra, "_close_tuples", recorded)
+    gp = _algebras()["gp"]
+    decision = satisfies_condition(gp, CONDITIONS["comm"], max_entries=300 ** 2,
+                                   max_elements=3000)
+    assert decision == ResourceExceeded(3001)
+    (route,) = closures
+    assert route.found is None and not route.complete
+    assert len(route.items) <= 3000 // 300 + 1

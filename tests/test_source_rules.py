@@ -212,3 +212,24 @@ def test_affine_path_has_one_reading_order() -> None:
     args = solver.args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["m", "n", "edges"]
     assert args.vararg is None and args.kwarg is None
+
+
+def test_one_tuple_closure() -> None:
+    # the closure engine _close runs behind two closures only: the pair
+    # closure of the decision and _close_tuples, which generate_subpower and
+    # the constant-term route share.  Only _close_tuples joins the tuple
+    # coordinate columns of a block for the kernel, so no second blockwise
+    # composition of tuples grows beside it
+    def callers(test) -> list[str]:
+        return sorted({f"{name}:{fn.name}"
+                       for name, tree in _trees()
+                       for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                       for node in ast.walk(fn)
+                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and test(node)})
+
+    assert callers(lambda call: call.func.id == "_close") == \
+        ["algebra.py:_close_pairs", "algebra.py:_close_tuples"]
+    assert callers(lambda call: call.func.id == "_concat" and call.args
+                   and isinstance(call.args[0], ast.Name) and call.args[0].id == "tuple") == \
+        ["algebra.py:_close_tuples"]
