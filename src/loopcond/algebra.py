@@ -378,14 +378,17 @@ def _variable_columns(a: FiniteAlgebra, c: LoopCondition) -> dict[str, Column]:
 
 def _differing_rows(a: FiniteAlgebra, c: LoopCondition, t: Term,
                     proj: dict[str, Column]) -> list[int]:
-    """The rows (assignments of the condition's variables, last variable
-    fastest, in that order) where t(u1..un) and t(v1..vn) differ.
+    """The rows where t(u1..un) and t(v1..vn) differ, as indices into proj's
+    columns, ascending.
 
-    proj is _variable_columns(a, c).  Leaf x(i+1) reads proj[u_i] + proj[v_i],
-    so one fold composes both sides over twice the rows, once per distinct
-    subterm, and compares the halves.  Raises BadTerm for invalid terms.
+    proj maps each variable to a column of its values on some rows:
+    _variable_columns(a, c) for all rows (assignments of the condition's
+    variables, last variable fastest), or a slice or subset of those.
+    Leaf x(i+1) reads proj[u_i] + proj[v_i], so one fold composes both
+    sides over twice the rows, once per distinct subterm, and compares the
+    halves.  Raises BadTerm for invalid terms.
     """
-    length = a.size ** len(c.variables)
+    length = len(proj[c.lhs[0]])
     both = _term_column(a, t, [proj[u] + proj[v] for u, v in zip(c.lhs, c.rhs)],
                         2 * length, _column_kind(a.size))
     left, right = both[:length], both[length:]
@@ -733,28 +736,46 @@ def _close_pairs(a: FiniteAlgebra, c: LoopCondition, columns: dict, cap: int) ->
     return _close(seeds, ops, cap, stop=first_equal)
 
 
+#: _refine folds a failing candidate on the first _WINDOW * max(1, |R|) rows
+#: before the rest, which it needs only when they hold too few differing rows
+_WINDOW = 64
+
+
 def _refine(a: FiniteAlgebra, c: LoopCondition, max_elements: int) -> Decision:
     """The closure decision of c on a row subset R that starts empty and
-    grows on failed candidates (see satisfies_condition)."""
+    grows on failed candidates (see satisfies_condition).
+
+    A candidate is folded on a window of the first rows, and on the other
+    rows only when the window holds fewer differing rows than R takes, so a
+    failing candidate is mostly checked on a prefix.  Each candidate
+    extracted from the closure on R is folded on R's own columns, where it
+    must hold.
+    """
     full = _variable_columns(a, c)
+    rows = a.size ** len(c.variables)
     kind = _column_kind(a.size)
     subset: list[int] = []
     # on no rows every pair is equal, so the closure would stop at its first
     # seed, the projection pair of position 0: the first candidate is x1
     term: Term = Var(0)
     while True:
-        differ = _differing_rows(a, c, term, full)
+        take = max(1, len(subset))
+        cut = _WINDOW * take
+        differ = _differing_rows(a, c, term, {v: col[:cut] for v, col in full.items()})
+        if len(differ) < take and cut < rows:
+            rest = _differing_rows(a, c, term, {v: col[cut:] for v, col in full.items()})
+            differ += [cut + row for row in rest]
         if not differ:
             return Satisfied(term)
-        if not set(differ).isdisjoint(subset):
-            raise AssertionError("extracted witness differs on a row it was closed over")
-        for row in differ[:max(1, len(subset))]:
+        for row in differ[:take]:
             insort(subset, row)
         columns = {v: kind(map(col.__getitem__, subset)) for v, col in full.items()}
         res = _close_pairs(a, c, columns, max_elements)
         if res.found is None:
             return NotSatisfied() if res.complete else ResourceExceeded(len(res.items))
         term = _term_from_provenance(res.found, res)
+        if _differing_rows(a, c, term, columns):
+            raise AssertionError("extracted witness differs on a row it was closed over")
 
 
 def _reindex(t: Term, positions: list[int]) -> Term:
@@ -802,10 +823,12 @@ def satisfies_condition(a: FiniteAlgebra, c: LoopCondition, *,
       is the closure of the projected generators, and an equal pair over
       all rows would project to one on R;
     - an equal pair on R: its provenance is replayed into a term, whose two
-      sides are compared over all rows.  If they agree the term is the
-      witness; otherwise the first max(1, |R|) rows where they differ (all,
-      if fewer) join R, none of them in R as the sides agree there, and
-      the closure is redone.
+      sides are checked to agree on R and then compared over all rows.  If
+      they agree the term is the witness; otherwise the first max(1, |R|)
+      rows where they differ (all, if fewer) join R, none of them in R as
+      the sides agree there, and the closure is redone.  The comparison
+      reads a window of the first _WINDOW * max(1, |R|) rows, and the rest
+      only when the window holds fewer than max(1, |R|) differing rows.
 
     Taking up to |R| rows lets R double per round, so when candidates keep
     failing, few rounds redo a large closure.  R grows to all rows at most,

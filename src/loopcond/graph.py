@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, reduce
+from itertools import chain
 from math import gcd
 from operator import and_
 
@@ -19,6 +20,18 @@ Edge = tuple[int, int]
 DEFAULT_BUDGET = 10**7
 
 
+def _fits(rows, width: int, n: int) -> bool:
+    """Whether every row has `width` entries, each in range(n), decided at
+    C speed from the set of row lengths and the set of values.  False also
+    where deciding raises TypeError, so that a caller's own loop over the
+    rows raises for the first bad row as it would alone."""
+    try:
+        return set(map(len, rows)) <= {width} and \
+            all(map(range(n).__contains__, set(chain.from_iterable(rows))))
+    except TypeError:
+        return False
+
+
 class DiGraph(_Value):
     """Directed graph on vertices 0..n-1 with optional vertex names."""
 
@@ -27,11 +40,16 @@ class DiGraph(_Value):
     labels: tuple[str, ...] | None = None
 
     def _check(self):
+        """Rejects a negative vertex count, an edge with an endpoint outside
+        range(n) (naming the first such edge in iteration order) and labels
+        that are not n distinct names.  The edges are checked at C speed
+        (_fits); only a failed check walks them to name the edge."""
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for a, b in self.edges:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+        if not _fits(self.edges, 2, self.n):
+            for a, b in self.edges:
+                if not (0 <= a < self.n and 0 <= b < self.n):
+                    raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("labels must name every vertex")

@@ -11,14 +11,23 @@ classes and fills in the rest of each orbit.
 from __future__ import annotations
 
 import json
-from itertools import chain, permutations, product
+from itertools import chain, permutations, product, repeat
+from operator import add, itemgetter, mul
 
 from .errors import ArityNotDivisible, GadgetFormatError, SlotMismatch, _Value
-from .graph import DEFAULT_BUDGET, DiGraph, _arc_search, _decode, _field, _ints, _network
+from .graph import (DEFAULT_BUDGET, DiGraph, _arc_search, _decode, _field, _fits, _ints,
+                    _network)
 
 
 class Relation(_Value):
-    """A k-ary relation: a set of k-tuples over 0..universe_size-1."""
+    """A k-ary relation: a set of k-tuples over 0..universe_size-1.
+
+    The constructor rejects an empty universe, a negative arity, and a
+    tuple of the wrong length or with a value outside the universe, naming
+    the first such tuple in iteration order.  The tuples are checked at C
+    speed (graph._fits), under python -O too; only a failed check walks
+    them to name the tuple.
+    """
 
     universe_size: int
     arity: int
@@ -29,11 +38,12 @@ class Relation(_Value):
             raise ValueError("universe must be nonempty")
         if self.arity < 0:
             raise ValueError("arity must be nonnegative")
-        for t in self.tuples:
-            if len(t) != self.arity:
-                raise ValueError(f"tuple {t} has wrong arity")
-            if any(not 0 <= x < self.universe_size for x in t):
-                raise ValueError(f"tuple {t} leaves the universe")
+        if not _fits(self.tuples, self.arity, self.universe_size):
+            for t in self.tuples:
+                if len(t) != self.arity:
+                    raise ValueError(f"tuple {t} has wrong arity")
+                if any(not 0 <= x < self.universe_size for x in t):
+                    raise ValueError(f"tuple {t} leaves the universe")
 
     @classmethod
     def full(cls, universe_size: int, arity: int) -> "Relation":
@@ -179,17 +189,26 @@ def _orbit(t: tuple[int, ...], classes: list[tuple[int, ...]],
     is its orbit's least-first tuple (the members of each class that it
     uses are the least ones, in order of first occurrence), else none: each
     injective map of those members into their class gives one, so a tuple
-    that uses no member of a class of two or more is its own orbit."""
+    that uses no member of a class of two or more is its own orbit.
+
+    Where each entry of t sits in t followed by the images of those members
+    is found once; each image tuple is then one itemgetter read of t plus
+    the members' images, so no Python code runs per image."""
     used: dict[int, list[int]] = {}
     for x in dict.fromkeys(t):
         if x in where:
             used.setdefault(where[x], []).append(x)
+    if not used:
+        return [t]
     if any(classes[c][:len(m)] != tuple(m) for c, m in used.items()):
         return []
-    sources = [x for m in used.values() for x in m]
     maps = product(*(permutations(classes[c], len(m)) for c, m in used.items()))
-    return [tuple([image.get(x, x) for x in t])
-            for image in (dict(zip(sources, chain.from_iterable(images))) for images in maps)]
+    images = map(tuple, map(chain.from_iterable, maps))
+    if len(t) == 1:  # t is its class's least member, so its images are the orbit
+        return list(images)
+    slot = {x: i for i, x in enumerate(chain.from_iterable(used.values()), len(t))}
+    get = itemgetter(*[slot.get(x, i) for i, x in enumerate(t)])
+    return list(map(get, map(t.__add__, images)))
 
 
 def evaluate(gadget: Gadget, inputs: list[DiGraph], *,
@@ -252,7 +271,9 @@ def pp_power(r: Relation, l: int) -> Relation:
     """Regroup a (k*l)-ary relation as k-ary over universe^l.
 
     Blocks of l consecutive coordinates become single elements, encoded in
-    mixed radix with the first coordinate most significant.
+    mixed radix with the first coordinate most significant.  Encodes column
+    by column: the tuples are transposed, each block of l columns is folded
+    by Horner's rule with map, and the k coded columns are zipped back.
     """
     if l < 1:
         raise ValueError("power exponent must be positive")
@@ -260,16 +281,16 @@ def pp_power(r: Relation, l: int) -> Relation:
         raise ArityNotDivisible(f"arity {r.arity} is not divisible by {l}")
     k = r.arity // l
     base = r.universe_size
-    tuples = set()
-    for t in r.tuples:
-        coded = []
-        for i in range(k):
-            c = 0
-            for x in t[i * l:(i + 1) * l]:
-                c = c * base + x
-            coded.append(c)
-        tuples.add(tuple(coded))
-    return Relation(base ** l, k, frozenset(tuples))
+    if not (k and r.tuples):  # arity 0 or no tuples: nothing to encode
+        return Relation(base ** l, k, frozenset(r.tuples))
+    columns = list(zip(*r.tuples))
+    coded = []
+    for i in range(0, r.arity, l):
+        c = columns[i]
+        for col in columns[i + 1:i + l]:
+            c = map(add, map(mul, c, repeat(base)), col)
+        coded.append(c)
+    return Relation(base ** l, k, frozenset(zip(*coded)))
 
 
 def pp_flatten(r: Relation, l: int, base: int) -> Relation:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import loopcond
-from loopcond import (AlgebraFormatError, ConditionSyntaxError, Gadget,
+from loopcond import (AlgebraFormatError, ConditionSyntaxError, DiGraph, Gadget,
                       Homomorphism, LoopCondition, Relation, SlotMismatch,
                       algebra_from_json, clique, cycle, directed_cycle, evaluate,
                       generate_subpower, mod_affine_algebra, path, pp_flatten, pp_power,
@@ -65,8 +65,13 @@ _Z3_C6 = "alg.satisfies_condition(mod_affine_algebra(3), condition_from_graph(cy
      "alg.satisfies_condition(alg.FiniteAlgebra(2, (alg.Operation('f', 1, (0, 0)),)), "
      "condition_from_graph(gr.clique(3)), max_entries=0)",
      "unary term found constant takes more than one value"),
+    # x1 fails commutativity over Z_3, so one row joins R; the closure on R
+    # then yields x1 again, which differs on that row
+    ("alg._term_from_provenance = lambda item, provenance: alg.Var(0)",
+     "alg.satisfies_condition(mod_affine_algebra(3), condition_from_graph(gr.clique(2)))",
+     "extracted witness differs on a row it was closed over"),
 ], ids=["retraction", "core onto", "ppdef witness", "ppdef twins", "core edge",
-        "carried witness", "constant term"])
+        "carried witness", "constant term", "closed-over witness"])
 def test_soundness_checks_raise_under_optimize(setup, call, message) -> None:
     # python -O strips assert statements, so the checks must raise by themselves
     script = _OPTIMIZED_CHILD.format(setup=setup, call=call)
@@ -95,6 +100,18 @@ _R4 = Relation(4, 1, frozenset({(0,), (3,)}))
      "bad variable name 'x-1'"),
     (lambda: Relation(0, 1, frozenset()), ValueError, "universe must be nonempty"),
     (lambda: Relation(2, -1, frozenset()), ValueError, "arity must be nonnegative"),
+    (lambda: Relation(3, 2, frozenset({(0, 1), (2,)})), ValueError,
+     "tuple (2,) has wrong arity"),
+    (lambda: Relation(3, 2, frozenset({(0, 3)})), ValueError,
+     "tuple (0, 3) leaves the universe"),
+    # (0, 3) comes first in the frozenset's iteration order, so it is named
+    # although the wrong-arity (2, 2, 2) is bad too
+    (lambda: Relation(3, 2, frozenset({(2, 2, 2), (0, 3)})), ValueError,
+     "tuple (0, 3) leaves the universe"),
+    (lambda: Relation(2, 1, frozenset({("a",)})), TypeError,
+     "'<=' not supported between instances of 'int' and 'str'"),
+    (lambda: DiGraph(3, frozenset({(0, 1), (1, 3)})), ValueError,
+     "edge (1,3) out of range for n=3"),
     (lambda: evaluate(Gadget(1, (), (0,), 0), []), SlotMismatch,
      "at least one input graph is required"),
     (lambda: witness(walk_gadget(1), [directed_cycle(2)], (0,)), ValueError,
@@ -113,7 +130,9 @@ _R4 = Relation(4, 1, frozenset({(0,), (3,)}))
      "walk length must be positive"),
     (lambda: walk_gadget(0), ValueError, "walk length must be positive"),
 ], ids=["hom short", "hom range", "cycle", "clique", "directed_cycle", "path",
-        "symbol", "variable", "relation size", "relation arity", "evaluate inputs",
+        "symbol", "variable", "relation size", "relation arity", "relation tuple arity",
+        "relation value", "relation first bad tuple", "relation non-int", "graph edge",
+        "evaluate inputs",
         "witness arity", "pp_power", "pp_flatten power", "pp_flatten base",
         "algebra arity", "operation name", "affine modulus", "subpower generator",
         "walk_relation", "walk_gadget"])

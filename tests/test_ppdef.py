@@ -169,6 +169,25 @@ def test_evaluate_on_blow_ups_matches_brute_force() -> None:
     assert merged > 100
 
 
+@pytest.mark.parametrize("arity", [0, 1])
+def test_evaluate_short_outputs_on_blow_ups(arity) -> None:
+    # a 0-ary gadget defines {()} or nothing, a 1-ary one a set of vertices,
+    # each filled in from its orbit's least member; both against brute force
+    rng = random.Random(4242 + arity)
+    kinds = set()
+    for _ in range(40):
+        vertices = rng.randint(1, 3)
+        gadget = Gadget(vertices, tuple((0, rng.randrange(vertices), rng.randrange(vertices))
+                                        for _ in range(rng.randint(0, 4))),
+                        tuple(rng.randrange(vertices) for _ in range(arity)), 1)
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        g = _blow_up(rng, sizes, rng.sample(range(sum(sizes)), sum(sizes)))
+        got = evaluate(gadget, [g])
+        assert got == evaluate_brute(gadget, [g])
+        kinds.add(len(got.tuples) > 0)
+    assert kinds == {False, True}
+
+
 def test_twin_classes() -> None:
     k23 = DiGraph.from_edges(5, [e for a in (0, 1) for b in (2, 3, 4) for e in ((a, b), (b, a))])
     assert _twin_classes([clique(4)]) == [[0, 1, 2, 3]]
@@ -286,6 +305,28 @@ def test_pp_power_flatten_roundtrip() -> None:
                            if rng.random() < 0.4)
         r = Relation(universe, k * l, tuples)
         assert pp_flatten(pp_power(r, l), l, universe) == r
+
+
+def _pp_power_brute(r: Relation, l: int) -> Relation:
+    """pp_power by decoding each tuple's blocks one coordinate at a time."""
+    def code(block) -> int:
+        c = 0
+        for x in block:
+            c = c * r.universe_size + x
+        return c
+    return Relation(r.universe_size ** l, r.arity // l, frozenset(
+        tuple(code(t[i:i + l]) for i in range(0, r.arity, l)) for t in r.tuples))
+
+
+@pytest.mark.parametrize("r, l", [
+    (Relation(3, 0, frozenset({()})), 1), (Relation(3, 0, frozenset({()})), 2),
+    (Relation(3, 0, frozenset()), 2), (Relation(2, 4, frozenset()), 2),
+    (Relation(2, 4, frozenset()), 4), (Relation(2, 2, frozenset({(1, 0)})), 2),
+], ids=["arity 0", "arity 0 squared", "arity 0 empty", "empty", "empty to 1-ary", "one tuple"])
+def test_pp_power_and_flatten_on_edge_cases(r, l) -> None:
+    power = pp_power(r, l)
+    assert power == _pp_power_brute(r, l)
+    assert pp_flatten(power, l, r.universe_size) == r
 
 
 def test_pp_power_arity_not_divisible() -> None:

@@ -4,7 +4,7 @@ refines no rows and against decisions frozen before refinement existed."""
 import json
 import random
 
-from helpers import decide_by_subpower, random_algebra, witness_holds_brute
+from helpers import decide_by_subpower, pool_algebra, random_algebra, witness_holds_brute
 from loopcond import (COMMUTATIVITY_IDENTITY, SIGGERS_IDENTITY, FiniteAlgebra,
                       LoopCondition, ResourceExceeded, Satisfied, clique,
                       condition_from_graph, condition_graph, core, cycle,
@@ -187,3 +187,21 @@ def test_capped_query_is_answered_on_a_row_subset() -> None:
     assert decision_to_json_dict(decision) == {"decision": "NotSatisfied"}
     assert decide_by_subpower(z2, p4, cap=100) == "NotSatisfied"
     assert decide_by_subpower(z2, p4, cap=10) is None
+
+
+def test_failing_candidates_are_folded_on_a_prefix(monkeypatch) -> None:
+    # pool algebra 4.2 with C5 (1,024 rows) tries nine candidates; folding
+    # each on all rows would fold 9,216.  A failing candidate is folded on a
+    # window of the first rows, so the decision folds far fewer
+    folded = []
+    differing_rows = alg._differing_rows
+
+    def counting(a, c, t, proj):
+        folded.append(len(proj[c.lhs[0]]))
+        return differing_rows(a, c, t, proj)
+    monkeypatch.setattr(alg, "_differing_rows", counting)
+    decision = satisfies_condition(pool_algebra(4, 2), condition_from_graph(cycle(5)),
+                                   max_elements=20000)
+    assert _text(decision) == ('{"decision": "Satisfied", "witness": '
+                               '"f(f(f(x1,x1),f(x1,x1)),f(f(x1,x1),f(x1,x1)))"}')
+    assert sum(folded) <= 6400
